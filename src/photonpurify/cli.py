@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 invariant failure, 2
 configuration error, 3 I/O error. Config comes from a JSON file
-(--config) with inline flags overriding file values. The seed falls back
-to the PHOTON_PURIFY_SEED environment variable when --seed is absent.
+(--config) with inline flags overriding file values. The verify seed falls
+back to the PHOTON_PURIFY_SEED environment variable when --seed is absent.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phase1", type=float, default=None)
     p.add_argument("--phase2", type=float, default=None)
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _load_json(path: str) -> dict:

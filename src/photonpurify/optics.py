@@ -24,8 +24,9 @@ column-repeated submatrices:
     <n'|U|n> = per(U[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
 
 where U[n', n] repeats row i n'_i times and column j n_j times. The
-permanent itself is evaluated by a Ryser-type kernel (compiled when
-available, pure Python otherwise) with direct formulas below dimension 3.
+permanent itself is evaluated by a pure-Python Ryser kernel with direct
+formulas below dimension 3. The scheme's states hold at most two photons,
+so its transitions never reach the kernel; only the oracle checks do.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import permanent_kernel
 from .errors import (
     DuplicateMode,
     IndexOutOfRange,
@@ -133,6 +133,43 @@ def embed(
     return InterferometerUnitary(full)
 
 
+def permanent_kernel(m) -> complex:
+    """Ryser permanent of a square complex matrix (indexable as m[i, j]).
+
+    per(A) = sum over non-empty column subsets S of
+    (-1)^(n-|S|) * prod_i sum_{j in S} A[i, j]; subsets are visited in
+    Gray-code order so each step updates the row sums by one column.
+    """
+    n = m.shape[0] if hasattr(m, "shape") else len(m)
+    if n == 0:
+        return 1.0 + 0j
+    # column-major copy; plain lists beat ndarray scalar indexing here
+    cols = [[complex(m[i, j]) for i in range(n)] for j in range(n)]
+    sums = [0j] * n
+    total = 0j
+    old_gray = 0
+    for k in range(1, 1 << n):
+        gray = k ^ (k >> 1)
+        bit = gray ^ old_gray
+        j = bit.bit_length() - 1
+        col = cols[j]
+        if gray & bit:
+            for i in range(n):
+                sums[i] += col[i]
+        else:
+            for i in range(n):
+                sums[i] -= col[i]
+        prod = 1.0 + 0j
+        for v in sums:
+            prod *= v
+        if (n - gray.bit_count()) & 1:
+            total -= prod
+        else:
+            total += prod
+        old_gray = gray
+    return total
+
+
 def permanent(m) -> complex:
     """Matrix permanent. Direct formulas for dims 0-2, Ryser kernel above.
 
@@ -148,7 +185,7 @@ def permanent(m) -> complex:
         return complex(arr[0, 0])
     if n == 2:
         return complex(arr[0, 0] * arr[1, 1] + arr[0, 1] * arr[1, 0])
-    return complex(permanent_kernel(np.ascontiguousarray(arr)))
+    return permanent_kernel(arr)
 
 
 def _repeated_permanent(matrix: np.ndarray, rows: list[int], cols: list[int]) -> complex:
@@ -165,8 +202,7 @@ def _repeated_permanent(matrix: np.ndarray, rows: list[int], cols: list[int]) ->
             matrix[rows[0], cols[0]] * matrix[rows[1], cols[1]]
             + matrix[rows[0], cols[1]] * matrix[rows[1], cols[0]]
         )
-    sub = np.ascontiguousarray(matrix[np.ix_(rows, cols)])
-    return complex(permanent_kernel(sub))
+    return permanent_kernel(matrix[np.ix_(rows, cols)])
 
 
 def _occupation_factorial(occ) -> int:

@@ -17,9 +17,10 @@ Stage 2 mixes the conditioned mode with vacuum on a second splitter
 Lambda' and conditions on one photon at a detector. Because only |0> and
 |2> remain, seeing exactly one photon forces the other output to hold
 exactly one photon as well, so the heralded state is |1> with unit
-fidelity whenever the detector can fire at all. The stage-2 detector sits
-on the second of the two modes entering Lambda'; putting it on the first
-gives identical statistics.
+fidelity whenever the detector can fire at all. Lambda' takes the vacuum
+ancilla on its first mode and the conditioned mode on its second, and the
+stage-2 detector watches the second output port; watching the first gives
+identical statistics.
 
 Conditional stage-2 success is 2 |c2n|^2 cos^2(theta2) sin^2(theta2) with
 c2n the normalized two-photon amplitude, maximized by a 50/50 splitter.
@@ -47,7 +48,7 @@ from .fock import (
     tensor,
     vacuum,
 )
-from .measurement import condition
+from .measurement import ConditionResult, condition
 from .optics import BeamSplitterParams, apply, beamsplitter, embed
 
 #: Residual single-photon amplitude allowed after cancellation.
@@ -128,8 +129,10 @@ def stage_two(
 ) -> tuple[float, StateVector | None]:
     """Mix the conditioned mode with vacuum and herald on one photon.
 
+    The vacuum ancilla enters Lambda' first, the normalized conditioned
+    mode second, and the detector watches the conditioned mode's port.
     Returns the conditional success probability and the heralded state on
-    the surviving mode (None when the detector can never fire). The purity
+    the ancilla's port (None when the detector can never fire). The purity
     precondition |c1| <= CANCEL_TOL is enforced; past it the residual c1
     is dropped, so the heralded state is exactly |1>.
     """
@@ -141,10 +144,14 @@ def stage_two(
         return 0.0, None
     raw = StateVector(1, {(0,): complex(c.c0), (2,): complex(c.c2)}, DEFAULT_CUTOFF)
     c_state, _ = normalize(raw)
-    joint = tensor(c_state, vacuum(1, DEFAULT_CUTOFF))
-    mixed = apply(beamsplitter(bs2), joint)
-    heralded = condition(mixed, {1: 1})
+    heralded = _herald(tensor(vacuum(1, DEFAULT_CUTOFF), c_state), bs2)
     return heralded.probability, heralded.state
+
+
+def _herald(joint: StateVector, bs2: BeamSplitterParams) -> ConditionResult:
+    # Stage 2 on (vacuum ancilla, conditioned mode) = modes (0, 1): mix on
+    # Lambda' and detect one photon at the conditioned mode's port.
+    return condition(apply(beamsplitter(bs2), joint), {1: 1})
 
 
 def optimize_stage_two(c: StageOneCoefficients) -> BeamSplitterParams:
@@ -255,8 +262,7 @@ def run_scheme(
             output_state=None,
         )
 
-    mixed2 = apply(embed(beamsplitter(bs2), (0, 1), 2), stage1.state)
-    heralded = condition(mixed2, {1: 1})
+    heralded = _herald(stage1.state, bs2)
     p_success = stage1.probability * heralded.probability
     if heralded.state is None:
         fid = 0.0

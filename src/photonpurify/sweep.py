@@ -15,6 +15,7 @@ order regardless.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -50,6 +51,10 @@ class RangeSpec:
     steps: int
 
     def __post_init__(self):
+        for name in ("start", "stop"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigInvalid(f"range {name} must be finite, got {v!r}")
         if self.steps < 1:
             raise ConfigInvalid(f"steps must be >= 1, got {self.steps}")
         if self.start > self.stop:
@@ -82,6 +87,10 @@ class RunConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigInvalid(f"{name} must lie in [0, 1], got {v!r}")
+        for name in ("phase1", "phase2"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigInvalid(f"{name} must be finite, got {v!r}")
         if self.cutoff < 2:
             raise ConfigInvalid(f"cutoff must be >= 2, got {self.cutoff}")
         if self.output_format not in OUTPUT_FORMATS:

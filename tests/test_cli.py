@@ -130,6 +130,13 @@ class TestRun:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--phase1", "--phase2"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_phase_is_config_error(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "run", "--p1", "0.5", "--p2", "0.5", f"{flag}={value}")
+        assert code == 2
+        assert "config error" in err
+
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["run", "--p1", "abc", "--p2", "0.5"]) == 2
 
@@ -203,6 +210,20 @@ class TestSweep:
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"p1": {"start": 0.0, "stop": 1.5, "steps": 3}}))
         assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 2
+
+    @pytest.mark.parametrize("flag", ["--phase1", "--phase2"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_phase_flag_is_config_error(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "sweep", flag, value)
+        assert code == 2
+        assert "config error" in err
+
+    def test_non_finite_range_bound_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text('{"phase1": {"start": 0, "stop": Infinity, "steps": 2}}')
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err
 
 
 class TestVerify:

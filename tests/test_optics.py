@@ -21,6 +21,7 @@ from photonpurify import (
     permanent,
     vacuum,
 )
+from photonpurify.optics import permanent_kernel
 from photonpurify.verify import amplitude_distance, permanent_naive, random_state, random_unitary
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -120,6 +121,7 @@ class TestEmbed:
 class TestPermanent:
     def test_empty_is_one(self):
         assert permanent(np.zeros((0, 0))) == 1
+        assert permanent_kernel(np.zeros((0, 0))) == 1
 
     def test_identity(self):
         assert abs(permanent(np.eye(2)) - 1) < 1e-15
@@ -142,6 +144,8 @@ class TestPermanent:
             for _ in range(10):
                 m = (rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))) / 2
                 assert abs(permanent(m) - permanent_naive(m)) < 1e-12
+                # the kernel itself, also below the direct-formula cutover
+                assert abs(permanent_kernel(m) - permanent_naive(m)) < 1e-12
 
 
 class TestApply:
