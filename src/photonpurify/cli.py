@@ -31,8 +31,8 @@ from .verify import CheckResult, run_checks
 ENV_SEED = "PHOTON_PURIFY_SEED"
 DEFAULT_TRIALS = 100
 
-_RUN_KEYS = {"input1", "input2", "cutoff", "format"}
-_SWEEP_KEYS = {"p1", "p2", "phase1", "phase2", "diagonal", "cutoff", "format", "out", "plot"}
+_RUN_KEYS = {"input1", "input2", "format"}
+_SWEEP_KEYS = {"p1", "p2", "phase1", "phase2", "diagonal", "format", "out", "plot"}
 _INPUT_KEYS = {"p", "phase"}
 _RANGE_KEYS = {"start", "stop", "steps"}
 
@@ -68,7 +68,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p2", type=float, default=None)
     p.add_argument("--phase1", type=float, default=None)
     p.add_argument("--phase2", type=float, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
 
 
 def _load_json(path: str) -> dict:
@@ -121,11 +120,8 @@ def _run_config(args) -> RunConfig:
         raise ConfigInvalid("p1 and p2 are required (flag or config file)")
     phase1 = pick(args.phase1, in1, "phase", 0.0)
     phase2 = pick(args.phase2, in2, "phase", 0.0)
-    cutoff = args.cutoff if args.cutoff is not None else data.get("cutoff", 4)
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-        raise ConfigInvalid(f"cutoff must be an integer, got {cutoff!r}")
     out_format = args.format if args.format is not None else data.get("format", "table")
-    return RunConfig(p1, p2, phase1, phase2, cutoff, out_format)
+    return RunConfig(p1, p2, phase1, phase2, out_format)
 
 
 def _range_spec(data: dict, name: str, override: float | None, default: RangeSpec) -> RangeSpec:
@@ -154,9 +150,6 @@ def _sweep_config(args) -> SweepConfig:
     diagonal = data.get("diagonal", False)
     if not isinstance(diagonal, bool):
         raise ConfigInvalid(f"diagonal must be true or false, got {diagonal!r}")
-    cutoff = args.cutoff if args.cutoff is not None else data.get("cutoff", 4)
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-        raise ConfigInvalid(f"cutoff must be an integer, got {cutoff!r}")
     out_format = args.format if args.format is not None else data.get("format", "csv")
     out = args.out if args.out is not None else data.get("out")
     plot = args.plot if args.plot is not None else data.get("plot")
@@ -169,7 +162,6 @@ def _sweep_config(args) -> SweepConfig:
         phase1=_range_spec(data, "phase1", args.phase1, fixed(0.0)),
         phase2=_range_spec(data, "phase2", args.phase2, fixed(0.0)),
         diagonal=diagonal,
-        cutoff=cutoff,
         output_format=out_format,
         out=out,
         plot=plot,
@@ -178,7 +170,7 @@ def _sweep_config(args) -> SweepConfig:
 
 def cmd_run(config: RunConfig) -> str:
     """Evaluate one input pair and render the report."""
-    result = run_point(config.p1, config.p2, config.phase1, config.phase2, config.cutoff)
+    result = run_point(config.p1, config.p2, config.phase1, config.phase2)
     if config.output_format == "csv":
         row = result_row(config.p1, config.p2, config.phase1, config.phase2, result)
         return rows_to_csv([row])

@@ -51,9 +51,6 @@ from .fock import StateVector, sector_occupations
 #: after apply because user-supplied matrices may come from text files.
 UNITARITY_TOL = 1e-10
 
-# Exact factorials up to well past the default cutoff.
-_FACTORIALS = (1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800, 39916800)
-
 
 @dataclass(frozen=True)
 class BeamSplitterParams:
@@ -208,7 +205,7 @@ def _repeated_permanent(matrix: np.ndarray, rows: list[int], cols: list[int]) ->
 def _occupation_factorial(occ) -> int:
     f = 1
     for n in occ:
-        f *= _FACTORIALS[n]
+        f *= math.factorial(n)
     return f
 
 

@@ -17,10 +17,10 @@ Stage 2 mixes the conditioned mode with vacuum on a second splitter
 Lambda' and conditions on one photon at a detector. Because only |0> and
 |2> remain, seeing exactly one photon forces the other output to hold
 exactly one photon as well, so the heralded state is |1> with unit
-fidelity whenever the detector can fire at all. Lambda' takes the vacuum
-ancilla on its first mode and the conditioned mode on its second, and the
-stage-2 detector watches the second output port; watching the first gives
-identical statistics.
+fidelity whenever the detector can fire at all. The vacuum ancilla only
+enters here: Lambda' takes it on its first mode and the conditioned mode
+on its second, and the stage-2 detector watches the second output port;
+watching the first gives identical statistics.
 
 Conditional stage-2 success is 2 |c2n|^2 cos^2(theta2) sin^2(theta2) with
 c2n the normalized two-photon amplitude, maximized by a 50/50 splitter.
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 from .errors import OutOfRange, PurityViolated
 from .fock import (
-    DEFAULT_CUTOFF,
     PRUNE_THRESHOLD,
     InputState,
     StateVector,
@@ -49,12 +48,10 @@ from .fock import (
     vacuum,
 )
 from .measurement import ConditionResult, condition
-from .optics import BeamSplitterParams, apply, beamsplitter, embed
+from .optics import BeamSplitterParams, apply, beamsplitter
 
 #: Residual single-photon amplitude allowed after cancellation.
 CANCEL_TOL = 1e-10
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Degenerate reason codes, reported in this order.
 NO_PHOTON_PAIR = "no-photon-pair"
@@ -142,69 +139,31 @@ def stage_two(
         )
     if max(abs(c.c0), abs(c.c2)) <= PRUNE_THRESHOLD:
         return 0.0, None
-    raw = StateVector(1, {(0,): complex(c.c0), (2,): complex(c.c2)}, DEFAULT_CUTOFF)
+    raw = StateVector(1, {(0,): complex(c.c0), (2,): complex(c.c2)})
     c_state, _ = normalize(raw)
-    heralded = _herald(tensor(vacuum(1, DEFAULT_CUTOFF), c_state), bs2)
+    heralded = _herald(c_state, bs2)
     return heralded.probability, heralded.state
 
 
-def _herald(joint: StateVector, bs2: BeamSplitterParams) -> ConditionResult:
+def _herald(c_state: StateVector, bs2: BeamSplitterParams) -> ConditionResult:
     # Stage 2 on (vacuum ancilla, conditioned mode) = modes (0, 1): mix on
     # Lambda' and detect one photon at the conditioned mode's port.
+    joint = tensor(vacuum(1), c_state)
     return condition(apply(beamsplitter(bs2), joint), {1: 1})
 
 
 def optimize_stage_two(c: StageOneCoefficients) -> BeamSplitterParams:
-    """Numerically maximize stage-2 success over theta2, phi2 fixed at 0.
+    """Stage-2 splitter maximizing the heralding probability.
 
-    Golden-section search on [0, pi/2] with interval tolerance 1e-10 plus
-    one parabolic refinement. The objective is proportional to
-    sin^2 cos^2 regardless of c, so the result always lands at pi/4; a
-    flat (all-zero) objective returns pi/4 by convention.
+    The conditional success 2 |c2n|^2 cos^2(theta2) sin^2(theta2) peaks at
+    theta2 = pi/4 for every c, so the optimum is the 50/50 splitter with
+    phi2 = 0. Raises PurityViolated when |c1| exceeds CANCEL_TOL.
     """
     if abs(c.c1) > CANCEL_TOL:
         raise PurityViolated(
             f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
         )
-    quarter = BeamSplitterParams(math.pi / 4, 0.0)
-    if stage_two(c, quarter)[0] == 0.0:
-        return quarter
-
-    def objective(theta: float) -> float:
-        return stage_two(c, BeamSplitterParams(theta, 0.0))[0]
-
-    best = _golden_max(objective, 0.0, math.pi / 2, tol=1e-10)
-    return BeamSplitterParams(best, 0.0)
-
-
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    # Golden-section search reusing one interior evaluation per step.
-    # Value comparisons alone cannot place a smooth maximum better than
-    # sqrt(eps), so a single parabolic fit through well-separated points
-    # polishes the bracket midpoint afterwards.
-    lo, hi = a, b
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = f(d)
-    x = 0.5 * (a + b)
-    h = 1e-4 * (hi - lo)
-    if lo <= x - h and x + h <= hi:
-        fm, f0, fp = f(x - h), f(x), f(x + h)
-        denom = fm - 2.0 * f0 + fp
-        if denom < 0:
-            shift = 0.5 * h * (fm - fp) / denom
-            x += max(-h, min(h, shift))
-    return x
+    return BeamSplitterParams(math.pi / 4, 0.0)
 
 
 def _degenerate_reasons(
@@ -224,16 +183,16 @@ def run_scheme(
     in1: InputState,
     in2: InputState,
     *,
-    cutoff: int = DEFAULT_CUTOFF,
     lambda2: BeamSplitterParams | None = None,
 ) -> SchemeResult:
     """Solve the cancellation splitter and simulate the whole circuit.
 
-    Mode layout: 0 is the stage-2 vacuum ancilla, 1 and 2 carry the
-    inputs. Lambda acts on (1, 2) and the stage-1 detector watches mode 2
-    for zero photons; after renumbering, Lambda' acts on the remaining
-    pair and the stage-2 detector watches the conditioned mode for one
-    photon. p_success is the joint probability of both outcomes.
+    Mode layout: stage 1 runs on two modes, 0 and 1 carrying the inputs.
+    Lambda acts on (0, 1) and the stage-1 detector watches mode 1 for zero
+    photons. Stage 2 then puts the vacuum ancilla on mode 0 and the
+    conditioned mode on mode 1; Lambda' acts on that pair and the stage-2
+    detector watches mode 1 for one photon. No state holds more than two
+    photons. p_success is the joint probability of both outcomes.
 
     lambda2 defaults to the analytic optimum, a 50/50 splitter. Degenerate
     inputs never raise; they come back flagged with honestly computed
@@ -243,12 +202,8 @@ def run_scheme(
     reasons = _degenerate_reasons(in1, in2, vacuous)
     bs2 = lambda2 if lambda2 is not None else BeamSplitterParams(math.pi / 4, 0.0)
 
-    circuit = tensor(
-        vacuum(1, cutoff),
-        tensor(input_to_state(in1, cutoff), input_to_state(in2, cutoff)),
-    )
-    mixed = apply(embed(beamsplitter(params), (1, 2), 3), circuit)
-    stage1 = condition(mixed, {2: 0})
+    inputs = tensor(input_to_state(in1), input_to_state(in2))
+    stage1 = condition(apply(beamsplitter(params), inputs), {1: 0})
     if stage1.state is None:
         return SchemeResult(
             lambda1=params,
@@ -267,7 +222,7 @@ def run_scheme(
     if heralded.state is None:
         fid = 0.0
     else:
-        fid = fidelity(heralded.state, fock_state((1,), cutoff))
+        fid = fidelity(heralded.state, fock_state((1,)))
     return SchemeResult(
         lambda1=params,
         lambda2=bs2,

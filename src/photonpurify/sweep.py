@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigInvalid
-from .fock import DEFAULT_CUTOFF, input_from_probability
+from .fock import input_from_probability
 from .scheme import SchemeResult, run_scheme
 
 CSV_HEADER = "p1,p2,phase1,phase2,theta,phi,p_success,fidelity,degenerate"
@@ -73,13 +73,12 @@ def fixed(value: float) -> RangeSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One scheme evaluation: two inputs, cutoff, output format."""
+    """One scheme evaluation: two inputs and the output format."""
 
     p1: float
     p2: float
     phase1: float = 0.0
     phase2: float = 0.0
-    cutoff: int = DEFAULT_CUTOFF
     output_format: str = "table"
 
     def __post_init__(self):
@@ -91,8 +90,6 @@ class RunConfig:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigInvalid(f"{name} must be finite, got {v!r}")
-        if self.cutoff < 2:
-            raise ConfigInvalid(f"cutoff must be >= 2, got {self.cutoff}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigInvalid(f"unknown format {self.output_format!r}")
 
@@ -106,7 +103,6 @@ class SweepConfig:
     phase1: RangeSpec = field(default_factory=lambda: fixed(0.0))
     phase2: RangeSpec = field(default_factory=lambda: fixed(0.0))
     diagonal: bool = False
-    cutoff: int = DEFAULT_CUTOFF
     output_format: str = "csv"
     out: str | None = None
     plot: str | None = None
@@ -116,8 +112,6 @@ class SweepConfig:
             r = getattr(self, name)
             if not (0.0 <= r.start and r.stop <= 1.0):
                 raise ConfigInvalid(f"{name} range [{r.start}, {r.stop}] leaves [0, 1]")
-        if self.cutoff < 2:
-            raise ConfigInvalid(f"cutoff must be >= 2, got {self.cutoff}")
         if self.output_format not in ("csv", "json"):
             raise ConfigInvalid(f"sweep format must be csv or json, got {self.output_format!r}")
 
@@ -136,14 +130,10 @@ def grid_points(cfg: SweepConfig) -> Iterator[tuple[float, float, float, float]]
                     yield p1, p2, ph1, ph2
 
 
-def run_point(
-    p1: float, p2: float, phase1: float, phase2: float, cutoff: int = DEFAULT_CUTOFF
-) -> SchemeResult:
+def run_point(p1: float, p2: float, phase1: float, phase2: float) -> SchemeResult:
     """Evaluate the scheme at one grid point."""
     return run_scheme(
-        input_from_probability(p1, phase1),
-        input_from_probability(p2, phase2),
-        cutoff=cutoff,
+        input_from_probability(p1, phase1), input_from_probability(p2, phase2)
     )
 
 
@@ -167,7 +157,7 @@ def result_row(
 def sweep_rows(cfg: SweepConfig) -> list[dict]:
     """Evaluate the whole grid in deterministic order."""
     return [
-        result_row(p1, p2, ph1, ph2, run_point(p1, p2, ph1, ph2, cfg.cutoff))
+        result_row(p1, p2, ph1, ph2, run_point(p1, p2, ph1, ph2))
         for p1, p2, ph1, ph2 in grid_points(cfg)
     ]
 

@@ -140,6 +140,16 @@ class TestRun:
     def test_bad_flag_value_exits_two(self, capsys):
         assert main(["run", "--p1", "abc", "--p2", "0.5"]) == 2
 
+    def test_removed_cutoff_flag_exits_two(self, capsys):
+        assert main(["run", "--p1", ".5", "--p2", ".5", "--cutoff", "4"]) == 2
+
+    def test_removed_cutoff_key_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"input1": {"p": 0.5}, "input2": {"p": 0.5}, "cutoff": 4}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert "cutoff" in err
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2
 
@@ -224,6 +234,16 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
         assert "config error" in err
+
+    def test_removed_cutoff_flag_exits_two(self, capsys):
+        assert main(["sweep", "--cutoff", "4"]) == 2
+
+    def test_removed_cutoff_key_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"cutoff": 4}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "cutoff" in err
 
 
 class TestVerify:

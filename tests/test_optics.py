@@ -207,6 +207,12 @@ class TestApply:
         with pytest.raises(ModeMismatch):
             apply(InterferometerUnitary(np.eye(3)), vacuum(2))
 
+    def test_high_occupation_past_old_factorial_table(self):
+        """Twelve photons in one mode: i^12 = 1, and the norm stays 1."""
+        out = apply(InterferometerUnitary([[1j]]), StateVector(1, {(12,): 1}, cutoff=12))
+        assert abs(out.amplitude((12,)) - 1) < 1e-9
+        assert abs(out.norm_squared - 1) < 1e-9
+
     def test_transformed_pair_coefficients(self):
         """Both-input product state picks up the five quadratic coefficients."""
         rng = np.random.default_rng(37)

@@ -246,11 +246,6 @@ class TestRunScheme:
         assert abs(res.p_success - expected) < 1e-12
         assert res.output_fidelity >= 1 - 1e-10
 
-    def test_cutoff_override_changes_nothing(self):
-        lo = run_scheme(BALANCED, BALANCED, cutoff=4)
-        hi = run_scheme(BALANCED, BALANCED, cutoff=6)
-        assert abs(lo.p_success - hi.p_success) < 1e-14
-
     def test_output_is_pure_across_random_inputs(self):
         rng = np.random.default_rng(53)
         for _ in range(25):
