@@ -10,7 +10,6 @@ itself against a permanent-free oracle.
 
 from .errors import (
     ConfigInvalid,
-    CutoffExceeded,
     DuplicateMode,
     IndexOutOfRange,
     ModeMismatch,
@@ -28,7 +27,6 @@ from .expansion import (
     substitute,
 )
 from .fock import (
-    DEFAULT_CUTOFF,
     InputState,
     StateVector,
     fidelity,
@@ -66,7 +64,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"
@@ -78,8 +76,6 @@ __all__ = [
     "ConditionResult",
     "ConfigInvalid",
     "CreationPolynomial",
-    "CutoffExceeded",
-    "DEFAULT_CUTOFF",
     "DuplicateMode",
     "IndexOutOfRange",
     "InputState",

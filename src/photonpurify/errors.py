@@ -9,10 +9,6 @@ class NotNormalized(ValueError):
     """A state or amplitude pair failed the normalization tolerance."""
 
 
-class CutoffExceeded(ValueError):
-    """An occupation's total photon number exceeds the state's cutoff."""
-
-
 class ModeMismatch(ValueError):
     """Operands disagree on mode count, or a mode reference is invalid."""
 

@@ -49,16 +49,14 @@ def state_to_polynomial(s: StateVector) -> CreationPolynomial:
     return CreationPolynomial(s.modes, terms)
 
 
-def polynomial_to_state(
-    poly: CreationPolynomial, cutoff: int = 4
-) -> StateVector:
+def polynomial_to_state(poly: CreationPolynomial) -> StateVector:
     """Apply a creation polynomial to vacuum and collect amplitudes."""
     amps = {
         exponents: coeff * math.sqrt(_exponent_factorial(exponents))
         for exponents, coeff in poly.terms.items()
         if coeff != 0j
     }
-    return StateVector(poly.modes, amps, cutoff)
+    return StateVector(poly.modes, amps)
 
 
 def substitute(poly: CreationPolynomial, u) -> CreationPolynomial:

@@ -26,13 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .errors import CutoffExceeded, ModeMismatch, NotNormalized, OutOfRange, ZeroState
+from .errors import ModeMismatch, NotNormalized, OutOfRange, ZeroState
 
 Occupation = tuple[int, ...]
-
-#: Max total photons a state may hold unless told otherwise. The scheme
-#: never exceeds 2; the headroom exists for brute-force oracle tests.
-DEFAULT_CUTOFF = 4
 
 #: Single global pruning threshold for stored amplitude magnitudes.
 PRUNE_THRESHOLD = 1e-14
@@ -52,23 +48,21 @@ class StateVector:
         amps: map from occupation tuple to complex amplitude. Copied and
             pruned at construction; entries below the pruning threshold
             are dropped.
-        cutoff: maximum total photon number across all modes.
+
+    A state carries no photon cap: it stores only the amplitudes it is
+    given, and no operation in the package adds photons.
 
     Raises:
         ZeroState: if no amplitude survives pruning.
-        CutoffExceeded: if an occupation's total exceeds ``cutoff``.
         ValueError: on malformed occupations or non-finite amplitudes.
     """
 
     modes: int
     amps: dict[Occupation, complex]
-    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"mode count must be positive, got {self.modes}")
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
         kept: dict[Occupation, complex] = {}
         for occ, amp in self.amps.items():
             if len(occ) != self.modes:
@@ -77,10 +71,6 @@ class StateVector:
                 )
             if any(not isinstance(n, int) or n < 0 for n in occ):
                 raise ValueError(f"occupation {occ} must hold non-negative integers")
-            if sum(occ) > self.cutoff:
-                raise CutoffExceeded(
-                    f"occupation {occ} holds {sum(occ)} photons, cutoff is {self.cutoff}"
-                )
             z = complex(amp)
             if not cmath.isfinite(z):
                 raise ValueError(f"non-finite amplitude {z!r} at {occ}")
@@ -126,9 +116,9 @@ def make_input(alpha: complex, beta: complex) -> InputState:
     return InputState(a, b)
 
 
-def input_to_state(s: InputState, cutoff: int = DEFAULT_CUTOFF) -> StateVector:
+def input_to_state(s: InputState) -> StateVector:
     """One-mode state vector {(0,): alpha, (1,): beta} for an input."""
-    return StateVector(1, {(0,): s.alpha, (1,): s.beta}, cutoff)
+    return StateVector(1, {(0,): s.alpha, (1,): s.beta})
 
 
 def input_from_probability(p: float, phase: float = 0.0) -> InputState:
@@ -142,29 +132,23 @@ def input_from_probability(p: float, phase: float = 0.0) -> InputState:
     return make_input(math.sqrt(1.0 - p), cmath.exp(1j * phase) * math.sqrt(p))
 
 
-def fock_state(occ: Occupation, cutoff: int = DEFAULT_CUTOFF) -> StateVector:
+def fock_state(occ: Occupation) -> StateVector:
     """Basis state |n_0 n_1 ...> with unit amplitude."""
     occ = tuple(occ)
-    return StateVector(len(occ), {occ: 1.0 + 0j}, cutoff)
+    return StateVector(len(occ), {occ: 1.0 + 0j})
 
 
-def vacuum(modes: int, cutoff: int = DEFAULT_CUTOFF) -> StateVector:
-    return fock_state((0,) * modes, cutoff)
+def vacuum(modes: int) -> StateVector:
+    return fock_state((0,) * modes)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; occupations concatenate, amplitudes multiply."""
-    cutoff = min(a.cutoff, b.cutoff)
     out: dict[Occupation, complex] = {}
     for na, aa in a.amps.items():
         for nb, ab in b.amps.items():
-            occ = na + nb
-            if sum(occ) > cutoff:
-                raise CutoffExceeded(
-                    f"tensor product occupation {occ} exceeds cutoff {cutoff}"
-                )
-            out[occ] = aa * ab
-    return StateVector(a.modes + b.modes, out, cutoff)
+            out[na + nb] = aa * ab
+    return StateVector(a.modes + b.modes, out)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -200,7 +184,7 @@ def normalize(a: StateVector) -> tuple[StateVector, float]:
         raise ZeroState(f"squared norm {n2!r} is below the zero-state floor")
     scale = 1.0 / math.sqrt(n2)
     scaled = {occ: amp * scale for occ, amp in a.amps.items()}
-    return StateVector(a.modes, scaled, a.cutoff), n2
+    return StateVector(a.modes, scaled), n2
 
 
 def total_photons(occ: Occupation) -> int:

@@ -60,7 +60,7 @@ def condition(s: StateVector, detected: dict[int, int]) -> ConditionResult:
         prob += abs(amp) ** 2
     if prob <= PROBABILITY_FLOOR:
         return ConditionResult(0.0, None)
-    raw = StateVector(len(keep), projected, s.cutoff)
+    raw = StateVector(len(keep), projected)
     normalized, _ = normalize(raw)
     return ConditionResult(prob, normalized)
 

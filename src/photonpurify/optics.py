@@ -221,7 +221,16 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
 
     Photon number is conserved exactly: the transformation is block
     diagonal over photon-number sectors, and each output sector is
-    enumerated in full. Norm is preserved to float precision.
+    enumerated in full. States carry no photon cap, so any photon number
+    is accepted.
+
+    Norm is preserved to float precision only at small photon numbers.
+    With several photons in one input mode the repeated kernel columns
+    make Ryser's alternating subset sums cancel: for n photons in one
+    mode through ``BeamSplitterParams(0.3, 0.1)`` the squared-norm drift
+    is at most 4.4e-16 up to n = 5, then 1.1e-14 at n = 6, 1.9e-13 at
+    n = 8, 8.0e-12 at n = 10 and 1.3e-10 at n = 12. The scheme's states
+    hold at most two photons.
     """
     if u.dim != s.modes:
         raise ModeMismatch(f"unitary on {u.dim} modes, state on {s.modes}")
@@ -232,8 +241,6 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
     matrix = u.matrix
     out: dict[tuple[int, ...], complex] = {}
     for photons, entries in by_sector.items():
-        # Cannot exceed the cutoff for a passive unitary with valid input.
-        assert photons <= s.cutoff
         inputs = [
             (_repeat_modes(occ), amp / math.sqrt(_occupation_factorial(occ)))
             for occ, amp in entries
@@ -245,4 +252,4 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
                 acc += weighted_amp * _repeated_permanent(matrix, rows, cols)
             if acc != 0j:
                 out[out_occ] = acc / math.sqrt(_occupation_factorial(out_occ))
-    return StateVector(s.modes, out, s.cutoff)
+    return StateVector(s.modes, out)

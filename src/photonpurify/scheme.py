@@ -53,6 +53,9 @@ from .optics import BeamSplitterParams, apply, beamsplitter
 #: Residual single-photon amplitude allowed after cancellation.
 CANCEL_TOL = 1e-10
 
+# The stage-2 optimum for every c: a 50/50 splitter with phi2 = 0.
+_STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
+
 #: Degenerate reason codes, reported in this order.
 NO_PHOTON_PAIR = "no-photon-pair"
 NO_VACUUM_AMPLITUDE = "no-vacuum-amplitude"
@@ -163,7 +166,7 @@ def optimize_stage_two(c: StageOneCoefficients) -> BeamSplitterParams:
         raise PurityViolated(
             f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
         )
-    return BeamSplitterParams(math.pi / 4, 0.0)
+    return _STAGE_TWO_OPTIMUM
 
 
 def _degenerate_reasons(
@@ -200,7 +203,7 @@ def run_scheme(
     """
     params, vacuous = solve_cancellation(in1, in2)
     reasons = _degenerate_reasons(in1, in2, vacuous)
-    bs2 = lambda2 if lambda2 is not None else BeamSplitterParams(math.pi / 4, 0.0)
+    bs2 = lambda2 if lambda2 is not None else _STAGE_TWO_OPTIMUM
 
     inputs = tensor(input_to_state(in1), input_to_state(in2))
     stage1 = condition(apply(beamsplitter(params), inputs), {1: 0})

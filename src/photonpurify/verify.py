@@ -70,15 +70,17 @@ def random_unitary(rng: np.random.Generator, dim: int) -> InterferometerUnitary:
     return InterferometerUnitary(q)
 
 
-def random_state(
-    rng: np.random.Generator, modes: int, max_photons: int, cutoff: int = 4
-) -> StateVector:
-    """Random normalized state with every sector up to max_photons filled."""
+def random_state(rng: np.random.Generator, modes: int, max_photons: int) -> StateVector:
+    """Random normalized state with every sector up to max_photons filled.
+
+    There is no photon cap: the state holds C(modes + max_photons, modes)
+    amplitudes.
+    """
     amps: dict[tuple[int, ...], complex] = {}
     for photons in range(max_photons + 1):
         for occ in sector_occupations(photons, modes):
             amps[occ] = complex(rng.normal(), rng.normal())
-    state, _ = normalize(StateVector(modes, amps, cutoff))
+    state, _ = normalize(StateVector(modes, amps))
     return state
 
 
@@ -154,9 +156,7 @@ def check_apply_vs_oracle(rng: np.random.Generator, trials: int) -> CheckResult:
         u = random_unitary(rng, modes)
         s = random_state(rng, modes, max_photons=4)
         direct = apply(u, s)
-        expanded = polynomial_to_state(
-            substitute(state_to_polynomial(s), u), cutoff=s.cutoff
-        )
+        expanded = polynomial_to_state(substitute(state_to_polynomial(s), u))
         worst = max(worst, amplitude_distance(direct, expanded))
     return CheckResult(
         "apply-vs-oracle",
@@ -216,6 +216,8 @@ def run_checks(
     """
     if trials < 1:
         raise ConfigInvalid(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {seed}")
     if fault is not None and fault != FAULT_UNITARY_PERTURBATION:
         raise ConfigInvalid(f"unknown fault hook {fault!r}")
     rng = np.random.default_rng(seed)

@@ -96,7 +96,7 @@ def test_transformation_routes_agree():
         s = random_state(rng, modes, 4)
         u = random_unitary(rng, modes)
         direct = apply(u, s)
-        via_poly = polynomial_to_state(substitute(state_to_polynomial(s), u), cutoff=s.cutoff)
+        via_poly = polynomial_to_state(substitute(state_to_polynomial(s), u))
         assert amplitude_distance(direct, via_poly) <= 1e-12
     for _ in range(20):
         p1, p2 = rng.uniform(0.05, 0.95, size=2)

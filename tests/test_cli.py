@@ -257,6 +257,13 @@ class TestVerify:
     def test_zero_trials_is_config_error(self, capsys):
         assert run_cli(capsys, "verify", "--trials", "0")[0] == 2
 
+    def test_negative_seed_is_config_error(self, capsys):
+        assert run_cli(capsys, "verify", "--seed", "-1", "--trials", "1")[0] == 2
+
+    def test_negative_env_seed_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PHOTON_PURIFY_SEED", "-3")
+        assert run_cli(capsys, "verify", "--trials", "1")[0] == 2
+
     def test_env_seed_matches_flag(self, capsys, monkeypatch):
         _, flagged, _ = run_cli(capsys, "verify", "--seed", "123", "--trials", "10")
         monkeypatch.setenv("PHOTON_PURIFY_SEED", "123")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpurify import (
-    CutoffExceeded,
     InputState,
     ModeMismatch,
     NotNormalized,
@@ -55,10 +54,6 @@ class TestStateVector:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             StateVector(1, {(-1,): 1.0})
-
-    def test_rejects_over_cutoff(self):
-        with pytest.raises(CutoffExceeded):
-            StateVector(2, {(3, 2): 1.0}, cutoff=4)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -134,14 +129,6 @@ class TestTensor:
         s = tensor(half, half)
         for occ in [(0, 0), (1, 0), (0, 1), (1, 1)]:
             assert abs(s.amplitude(occ) - 0.5) < 1e-15
-
-    def test_cutoff_exceeded(self):
-        with pytest.raises(CutoffExceeded):
-            tensor(fock_state((3,), cutoff=3), fock_state((2,), cutoff=3))
-
-    def test_cutoff_is_min_of_parts(self):
-        s = tensor(fock_state((1,), cutoff=2), fock_state((0,), cutoff=4))
-        assert s.cutoff == 2
 
 
 class TestInnerProduct:
