@@ -64,7 +64,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"

@@ -15,6 +15,8 @@ import sys
 
 from .errors import ConfigInvalid, OutOfRange
 from .sweep import (
+    OUTPUT_FORMATS,
+    SWEEP_FORMATS,
     RangeSpec,
     RunConfig,
     SweepConfig,
@@ -46,12 +48,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="solve and simulate one input pair")
     _add_shared_flags(run_p)
-    run_p.add_argument("--format", choices=("table", "csv", "json"), default=None)
+    run_p.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     run_p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     sweep_p = sub.add_parser("sweep", help="evaluate a parameter grid")
     _add_shared_flags(sweep_p)
-    sweep_p.add_argument("--format", choices=("csv", "json"), default=None)
+    sweep_p.add_argument("--format", choices=SWEEP_FORMATS, default=None)
     sweep_p.add_argument("--out", default=None, help="write rows here instead of stdout")
     sweep_p.add_argument("--plot", default=None, metavar="PATH.SVG",
                          help="also write the success-curve comparison figure")
@@ -74,7 +76,7 @@ def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid(f"{path}: top level must be a JSON object")
@@ -209,9 +211,9 @@ def cmd_sweep(config: SweepConfig) -> str:
     return rows_to_csv(rows)
 
 
-def cmd_verify(seed: int, trials: int, fault: str | None = None) -> tuple[str, bool]:
+def cmd_verify(seed: int, trials: int) -> tuple[str, bool]:
     """Run the invariant suite; returns (report text, all passed)."""
-    results = run_checks(seed, trials, fault)
+    results = run_checks(seed, trials)
     lines = [_check_line(r) for r in results]
     failed = [r.name for r in results if not r.passed]
     if failed:

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 from .errors import IndexOutOfRange, ModeMismatch, OutOfRange
 from .fock import StateVector, normalize
 
-#: Probabilities below this are treated as exactly zero detection.
-PROBABILITY_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class ConditionResult:
     """Post-selection outcome: probability and the conditional state.
 
-    ``state`` is None when the requested outcome has zero probability.
+    ``state`` is None, and the probability exactly 0, when no amplitude
+    survives the projection. Stored amplitudes are at least
+    ``fock.PRUNE_THRESHOLD`` in magnitude, so any other outcome has
+    probability of at least its square.
     """
 
     probability: float
@@ -58,7 +58,7 @@ def condition(s: StateVector, detected: dict[int, int]) -> ConditionResult:
         reduced = tuple(occ[m] for m in keep)
         projected[reduced] = projected.get(reduced, 0j) + amp
         prob += abs(amp) ** 2
-    if prob <= PROBABILITY_FLOOR:
+    if not projected:
         return ConditionResult(0.0, None)
     raw = StateVector(len(keep), projected)
     normalized, _ = normalize(raw)

@@ -69,24 +69,23 @@ class BeamSplitterParams:
 class InterferometerUnitary:
     """M x M unitary on mode creation operators (column convention).
 
-    The matrix is validated against ||U^dag U - I||_max <= UNITARITY_TOL at
-    construction and stored read-only.
+    Every matrix is validated against ||U^dag U - I||_max <= UNITARITY_TOL
+    at construction and stored read-only; there is no unchecked route.
     """
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, _validate: bool = True):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotSquare(f"interferometer matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise NotSquare("interferometer needs at least one mode")
-        if _validate:
-            defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-            if defect > UNITARITY_TOL:
-                raise NotUnitary(
-                    f"||U^dag U - I||_max = {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
-                )
+        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+        if defect > UNITARITY_TOL:
+            raise NotUnitary(
+                f"||U^dag U - I||_max = {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
+            )
         m.setflags(write=False)
         self.matrix = m
 

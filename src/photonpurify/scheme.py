@@ -124,6 +124,13 @@ def solve_cancellation(
     return BeamSplitterParams(math.atan(abs(ratio)), cmath.phase(ratio)), False
 
 
+def _require_cancelled(c: StageOneCoefficients) -> None:
+    if abs(c.c1) > CANCEL_TOL:
+        raise PurityViolated(
+            f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
+        )
+
+
 def stage_two(
     c: StageOneCoefficients, bs2: BeamSplitterParams
 ) -> tuple[float, StateVector | None]:
@@ -136,10 +143,7 @@ def stage_two(
     precondition |c1| <= CANCEL_TOL is enforced; past it the residual c1
     is dropped, so the heralded state is exactly |1>.
     """
-    if abs(c.c1) > CANCEL_TOL:
-        raise PurityViolated(
-            f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
-        )
+    _require_cancelled(c)
     if max(abs(c.c0), abs(c.c2)) <= PRUNE_THRESHOLD:
         return 0.0, None
     raw = StateVector(1, {(0,): complex(c.c0), (2,): complex(c.c2)})
@@ -162,10 +166,7 @@ def optimize_stage_two(c: StageOneCoefficients) -> BeamSplitterParams:
     theta2 = pi/4 for every c, so the optimum is the 50/50 splitter with
     phi2 = 0. Raises PurityViolated when |c1| exceeds CANCEL_TOL.
     """
-    if abs(c.c1) > CANCEL_TOL:
-        raise PurityViolated(
-            f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
-        )
+    _require_cancelled(c)
     return _STAGE_TWO_OPTIMUM
 
 
@@ -182,12 +183,7 @@ def _degenerate_reasons(
     return tuple(reasons)
 
 
-def run_scheme(
-    in1: InputState,
-    in2: InputState,
-    *,
-    lambda2: BeamSplitterParams | None = None,
-) -> SchemeResult:
+def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     """Solve the cancellation splitter and simulate the whole circuit.
 
     Mode layout: stage 1 runs on two modes, 0 and 1 carrying the inputs.
@@ -197,41 +193,31 @@ def run_scheme(
     detector watches mode 1 for one photon. No state holds more than two
     photons. p_success is the joint probability of both outcomes.
 
-    lambda2 defaults to the analytic optimum, a 50/50 splitter. Degenerate
-    inputs never raise; they come back flagged with honestly computed
-    probabilities.
+    Lambda' is the analytic optimum, a 50/50 splitter; for any other
+    Lambda' use ``stage_two(stage_one_coefficients(in1, in2, lambda1),
+    bs2)``. Degenerate inputs never raise; they come back flagged with
+    honestly computed probabilities.
     """
     params, vacuous = solve_cancellation(in1, in2)
     reasons = _degenerate_reasons(in1, in2, vacuous)
-    bs2 = lambda2 if lambda2 is not None else _STAGE_TWO_OPTIMUM
 
     inputs = tensor(input_to_state(in1), input_to_state(in2))
     stage1 = condition(apply(beamsplitter(params), inputs), {1: 0})
     if stage1.state is None:
-        return SchemeResult(
-            lambda1=params,
-            lambda2=bs2,
-            stage_one_probability=0.0,
-            stage_two_probability=0.0,
-            p_success=0.0,
-            output_fidelity=0.0,
-            degenerate=bool(reasons),
-            degenerate_reasons=reasons,
-            output_state=None,
-        )
-
-    heralded = _herald(stage1.state, bs2)
-    p_success = stage1.probability * heralded.probability
+        # Nothing survived stage 1: stage1 already reads (0.0, None).
+        heralded = stage1
+    else:
+        heralded = _herald(stage1.state, _STAGE_TWO_OPTIMUM)
     if heralded.state is None:
         fid = 0.0
     else:
         fid = fidelity(heralded.state, fock_state((1,)))
     return SchemeResult(
         lambda1=params,
-        lambda2=bs2,
+        lambda2=_STAGE_TWO_OPTIMUM,
         stage_one_probability=stage1.probability,
         stage_two_probability=heralded.probability,
-        p_success=p_success,
+        p_success=stage1.probability * heralded.probability,
         output_fidelity=fid,
         degenerate=bool(reasons),
         degenerate_reasons=reasons,

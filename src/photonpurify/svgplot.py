@@ -18,6 +18,9 @@ _MARGIN_BOTTOM = 48
 _X_MAX = 1.0
 _Y_MAX = 0.26
 
+#: Points per curve, p = 0, 0.01, ..., 1.
+_SAMPLES = 101
+
 
 def _to_px(p: float, value: float) -> tuple[float, float]:
     x = _MARGIN_LEFT + (p / _X_MAX) * (_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT)
@@ -35,11 +38,9 @@ def _polyline(name: str, color: str, pairs: list[tuple[float, float]]) -> str:
     )
 
 
-def success_comparison_svg(samples: int = 101) -> str:
+def success_comparison_svg() -> str:
     """Both closed-form success curves for identical inputs, new over old."""
-    if samples < 2:
-        samples = 2
-    ps = [i / (samples - 1) for i in range(samples)]
+    ps = [i / (_SAMPLES - 1) for i in range(_SAMPLES)]
     new_pts = [_to_px(p, success_curve_new(p)) for p in ps]
     old_pts = [_to_px(p, success_curve_old(p)) for p in ps]
 

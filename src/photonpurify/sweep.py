@@ -14,6 +14,7 @@ order regardless.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,8 +25,6 @@ import numpy as np
 from .errors import ConfigInvalid
 from .fock import input_from_probability
 from .scheme import SchemeResult, run_scheme
-
-CSV_HEADER = "p1,p2,phase1,phase2,theta,phi,p_success,fidelity,degenerate"
 
 #: Numeric row fields, in CSV column order.
 _NUMERIC_FIELDS = (
@@ -39,7 +38,11 @@ _NUMERIC_FIELDS = (
     "fidelity",
 )
 
+CSV_HEADER = ",".join(_NUMERIC_FIELDS + ("degenerate",))
+
+#: Output formats of ``run`` and of ``sweep``.
 OUTPUT_FORMATS = ("table", "csv", "json")
+SWEEP_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -112,22 +115,19 @@ class SweepConfig:
             r = getattr(self, name)
             if not (0.0 <= r.start and r.stop <= 1.0):
                 raise ConfigInvalid(f"{name} range [{r.start}, {r.stop}] leaves [0, 1]")
-        if self.output_format not in ("csv", "json"):
+        if self.output_format not in SWEEP_FORMATS:
             raise ConfigInvalid(f"sweep format must be csv or json, got {self.output_format!r}")
 
 
 def grid_points(cfg: SweepConfig) -> Iterator[tuple[float, float, float, float]]:
     """Row-major grid order; the diagonal copies input 1 onto input 2."""
     if cfg.diagonal:
-        for p in cfg.p1.points():
-            for ph in cfg.phase1.points():
-                yield p, p, ph, ph
+        for p, ph in itertools.product(cfg.p1.points(), cfg.phase1.points()):
+            yield p, p, ph, ph
         return
-    for p1 in cfg.p1.points():
-        for p2 in cfg.p2.points():
-            for ph1 in cfg.phase1.points():
-                for ph2 in cfg.phase2.points():
-                    yield p1, p2, ph1, ph2
+    yield from itertools.product(
+        cfg.p1.points(), cfg.p2.points(), cfg.phase1.points(), cfg.phase2.points()
+    )
 
 
 def run_point(p1: float, p2: float, phase1: float, phase2: float) -> SchemeResult:

@@ -2,10 +2,7 @@
 
 Six named checks: unitarity, norm-preservation, permanent-vs-oracle,
 apply-vs-oracle, purity-grid, and dominance. Each returns a CheckResult
-with a worst-case defect so failures carry numbers, not just a flag. The
-``fault`` hook deliberately breaks norm preservation (a 1e-3 perturbation
-of the unitary, skipping construction-time validation) so the deliberate-
-failure path stays tested.
+with a worst-case defect so failures carry numbers, not just a flag.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from .fock import StateVector, input_from_probability, normalize, sector_occupat
 from .measurement import outcome_distribution
 from .optics import (
     BeamSplitterParams,
+    UNITARITY_TOL,
     InterferometerUnitary,
     apply,
     beamsplitter,
@@ -31,14 +29,10 @@ from .optics import (
 )
 from .scheme import run_scheme, success_curve_new, success_curve_old
 
-UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
 ORACLE_TOL = 1e-12
 PERMANENT_TOL = 1e-12
 PURITY_TOL = 1e-10
-
-#: The one supported fault-injection hook.
-FAULT_UNITARY_PERTURBATION = "unitary-perturbation"
 
 
 @dataclass(frozen=True)
@@ -100,17 +94,12 @@ def check_unitarity(rng: np.random.Generator, trials: int) -> CheckResult:
     )
 
 
-def check_norm_preservation(
-    rng: np.random.Generator, trials: int, fault: str | None = None
-) -> CheckResult:
+def check_norm_preservation(rng: np.random.Generator, trials: int) -> CheckResult:
     """apply keeps squared norm within 1e-12; distributions sum to 1."""
     worst = 0.0
     for _ in range(trials):
         modes = int(rng.integers(2, 4))
         u = random_unitary(rng, modes)
-        if fault == FAULT_UNITARY_PERTURBATION:
-            bad = u.matrix + 1e-3 * rng.normal(size=(modes, modes))
-            u = InterferometerUnitary(bad, _validate=False)
         s = random_state(rng, modes, max_photons=3)
         out = apply(u, s)
         worst = max(worst, abs(out.norm_squared - s.norm_squared))
@@ -206,24 +195,16 @@ def check_dominance(rng: np.random.Generator, trials: int) -> CheckResult:
     )
 
 
-def run_checks(
-    seed: int, trials: int, fault: str | None = None
-) -> list[CheckResult]:
-    """Run all six checks with reproducible randomness.
-
-    ``fault`` is a test hook; the only supported value perturbs the
-    norm-preservation unitaries so that check must fail.
-    """
+def run_checks(seed: int, trials: int) -> list[CheckResult]:
+    """Run all six checks with reproducible randomness."""
     if trials < 1:
         raise ConfigInvalid(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ConfigInvalid(f"seed must be >= 0, got {seed}")
-    if fault is not None and fault != FAULT_UNITARY_PERTURBATION:
-        raise ConfigInvalid(f"unknown fault hook {fault!r}")
     rng = np.random.default_rng(seed)
     return [
         check_unitarity(rng, trials),
-        check_norm_preservation(rng, trials, fault),
+        check_norm_preservation(rng, trials),
         check_permanent_vs_oracle(rng, trials),
         check_apply_vs_oracle(rng, trials),
         check_purity_grid(rng, trials),

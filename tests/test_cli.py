@@ -281,6 +281,20 @@ class TestVerify:
         assert out == baseline
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"p1": 0.5}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "too-deep"],
+)
+def test_undecodable_config_is_config_error(capsys, tmp_path, command, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert "config error" in err
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         proc = subprocess.run(

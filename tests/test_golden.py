@@ -1,4 +1,4 @@
-"""Golden output: sweep bytes pinned by sha256 across builds.
+"""Golden output: sweep and plot bytes pinned by sha256 across builds.
 
 Repeated runs of one build are compared elsewhere; these pins compare a
 build against the bytes recorded before any refactor or optimisation, so
@@ -27,6 +27,8 @@ PHASE_GRID = {
 }
 PHASE_GRID_CSV_SHA256 = "8ff84399ebe1b13f3f1044070bc646d3197a9498215399c5c16b07ac817cdfc4"
 
+PLOT_SVG_SHA256 = "f248c5e839928c4a7f5d38879f6c39d32ffef23e61a470914a2d2fe2df5c5b30"
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -45,3 +47,11 @@ def test_phase_grid_sweep_bytes(tmp_path):
     out = tmp_path / "grid.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert sha256(out) == PHASE_GRID_CSV_SHA256
+
+
+def test_plot_svg_bytes(tmp_path):
+    out = tmp_path / "rows.csv"
+    plot = tmp_path / "curves.svg"
+    args = ["sweep", "--p1", "0.5", "--p2", "0.5", "--out", str(out), "--plot", str(plot)]
+    assert main(args) == 0
+    assert sha256(plot) == PLOT_SVG_SHA256

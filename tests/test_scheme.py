@@ -215,11 +215,28 @@ class TestRunScheme:
 
     def test_vacuum_first_input(self):
         res = run_scheme(make_input(1.0, 0.0), BALANCED)
+        assert abs(res.stage_one_probability - 0.5) < 1e-12
+        assert res.stage_two_probability == 0.0
         assert res.p_success == 0.0
+        assert res.lambda2 == BeamSplitterParams(math.pi / 4, 0.0)
         assert res.degenerate
         assert res.degenerate_reasons == (NO_PHOTON_PAIR,)
         assert res.output_state is None
         assert res.output_fidelity == 0.0
+
+    @pytest.mark.parametrize("photon_first", [True, False])
+    def test_nothing_survives_stage_one(self, photon_first):
+        # One photon against vacuum: Lambda routes it onto the stage-1
+        # detector, so zero photons there never happens.
+        photon, vac = make_input(0.0, 1.0), make_input(1.0, 0.0)
+        res = run_scheme(*((photon, vac) if photon_first else (vac, photon)))
+        assert res.stage_one_probability == 0.0
+        assert res.stage_two_probability == 0.0
+        assert res.p_success == 0.0
+        assert res.lambda2 == BeamSplitterParams(math.pi / 4, 0.0)
+        assert res.output_state is None
+        assert res.output_fidelity == 0.0
+        assert res.degenerate_reasons == (NO_PHOTON_PAIR, NO_VACUUM_AMPLITUDE)
 
     def test_double_vacuum(self):
         res = run_scheme(make_input(1.0, 0.0), make_input(1.0, 0.0))
@@ -238,13 +255,6 @@ class TestRunScheme:
             p2, _ = stage_two(c, res.lambda2)
             assert abs(res.stage_two_probability - p2) < 1e-12
             assert abs(res.p_success - c.norm_squared * p2) < 1e-12
-
-    def test_lambda2_override_scales_success(self):
-        theta2 = 0.3
-        res = run_scheme(BALANCED, BALANCED, lambda2=BeamSplitterParams(theta2, 0.0))
-        expected = 0.375 * (2 / 3) * (math.sin(theta2) * math.cos(theta2)) ** 2
-        assert abs(res.p_success - expected) < 1e-12
-        assert res.output_fidelity >= 1 - 1e-10
 
     def test_output_is_pure_across_random_inputs(self):
         rng = np.random.default_rng(53)
