@@ -10,7 +10,6 @@ itself against a permanent-free oracle.
 
 from .errors import (
     ConfigInvalid,
-    DuplicateMode,
     IndexOutOfRange,
     ModeMismatch,
     NotNormalized,
@@ -47,7 +46,6 @@ from .optics import (
     InterferometerUnitary,
     apply,
     beamsplitter,
-    embed,
     permanent,
 )
 from .scheme import (
@@ -64,7 +62,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"
@@ -76,7 +74,6 @@ __all__ = [
     "ConditionResult",
     "ConfigInvalid",
     "CreationPolynomial",
-    "DuplicateMode",
     "IndexOutOfRange",
     "InputState",
     "InterferometerUnitary",
@@ -94,7 +91,6 @@ __all__ = [
     "beamsplitter",
     "closed_form_success",
     "condition",
-    "embed",
     "fidelity",
     "fock_state",
     "inner_product",

@@ -26,11 +26,7 @@ class NotUnitary(ValueError):
 
 
 class IndexOutOfRange(IndexError):
-    """A target mode index lies outside the interferometer."""
-
-
-class DuplicateMode(ValueError):
-    """The same mode was named twice as an embedding target."""
+    """A mode index lies outside the state's modes."""
 
 
 class PurityViolated(ValueError):

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import ModeMismatch, NotNormalized, OutOfRange, ZeroState
 
@@ -45,9 +47,9 @@ class StateVector:
 
     Args:
         modes: number of optical modes (positive).
-        amps: map from occupation tuple to complex amplitude. Copied and
-            pruned at construction; entries below the pruning threshold
-            are dropped.
+        amps: map from occupation tuple to complex amplitude. Copied,
+            pruned and stored read-only at construction; entries below the
+            pruning threshold are dropped.
 
     A state carries no photon cap: it stores only the amplitudes it is
     given, and no operation in the package adds photons.
@@ -58,7 +60,7 @@ class StateVector:
     """
 
     modes: int
-    amps: dict[Occupation, complex]
+    amps: Mapping[Occupation, complex]
 
     def __post_init__(self):
         if self.modes < 1:
@@ -78,7 +80,7 @@ class StateVector:
                 kept[tuple(occ)] = z
         if not kept:
             raise ZeroState("all amplitudes vanished; refusing to store a zero state")
-        object.__setattr__(self, "amps", kept)
+        object.__setattr__(self, "amps", MappingProxyType(kept))
 
     @property
     def norm_squared(self) -> float:

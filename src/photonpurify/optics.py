@@ -10,13 +10,16 @@ row and column convention is the single most likely implementation bug in
 this kind of simulator; every routine here and in the oracle module uses
 the column form.
 
-Beam splitters are parameterized by a mixing angle theta and one phase phi:
+Beam splitters are two-mode unitaries, parameterized by a mixing angle
+theta and one phase phi:
 
     [[cos(theta),               exp(i phi) sin(theta)],
      [-exp(-i phi) sin(theta),  cos(theta)           ]]
 
 Two parameters suffice because global and external phases never change
 post-selection probabilities or the fidelity to a photon-number state.
+The scheme applies each splitter to a two-mode state directly; nothing
+here places a splitter inside a larger interferometer.
 
 Transition amplitudes between occupations are matrix permanents of row- and
 column-repeated submatrices:
@@ -37,14 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateMode,
-    IndexOutOfRange,
-    ModeMismatch,
-    NotSquare,
-    NotUnitary,
-    OutOfRange,
-)
+from .errors import ModeMismatch, NotSquare, NotUnitary, OutOfRange
 from .fock import StateVector, sector_occupations
 
 #: Unitarity tolerance at construction; looser than the norm tolerance
@@ -105,38 +101,14 @@ def beamsplitter(params: BeamSplitterParams) -> InterferometerUnitary:
     return InterferometerUnitary([[c, ph * s], [-s / ph, c]])
 
 
-def embed(
-    u: InterferometerUnitary, target_modes: tuple[int, int], total_modes: int
-) -> InterferometerUnitary:
-    """Place a 2-mode unitary on the given modes of a larger interferometer.
-
-    ``target_modes[0]`` receives u's first mode, ``target_modes[1]`` its
-    second; every other mode passes through untouched.
-    """
-    i, j = target_modes
-    if u.dim != 2:
-        raise ModeMismatch(f"embed expects a 2-mode unitary, got dim {u.dim}")
-    for t in (i, j):
-        if not (0 <= t < total_modes):
-            raise IndexOutOfRange(f"target mode {t} outside 0..{total_modes - 1}")
-    if i == j:
-        raise DuplicateMode(f"target modes must be distinct, got {target_modes}")
-    full = np.eye(total_modes, dtype=np.complex128)
-    full[i, i] = u.matrix[0, 0]
-    full[i, j] = u.matrix[0, 1]
-    full[j, i] = u.matrix[1, 0]
-    full[j, j] = u.matrix[1, 1]
-    return InterferometerUnitary(full)
-
-
 def permanent_kernel(m) -> complex:
-    """Ryser permanent of a square complex matrix (indexable as m[i, j]).
+    """Ryser permanent of a square ndarray.
 
     per(A) = sum over non-empty column subsets S of
     (-1)^(n-|S|) * prod_i sum_{j in S} A[i, j]; subsets are visited in
     Gray-code order so each step updates the row sums by one column.
     """
-    n = m.shape[0] if hasattr(m, "shape") else len(m)
+    n = m.shape[0]
     if n == 0:
         return 1.0 + 0j
     # column-major copy; plain lists beat ndarray scalar indexing here
@@ -167,7 +139,8 @@ def permanent_kernel(m) -> complex:
 
 
 def permanent(m) -> complex:
-    """Matrix permanent. Direct formulas for dims 0-2, Ryser kernel above.
+    """Matrix permanent: the transition path's direct formulas below
+    dimension 3, the Ryser kernel above.
 
     Empty matrices have permanent 1 by convention.
     """
@@ -175,12 +148,8 @@ def permanent(m) -> complex:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquare(f"permanent needs a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    if n == 1:
-        return complex(arr[0, 0])
-    if n == 2:
-        return complex(arr[0, 0] * arr[1, 1] + arr[0, 1] * arr[1, 0])
+    if n < 3:
+        return _repeated_permanent(arr, list(range(n)), list(range(n)))
     return permanent_kernel(arr)
 
 

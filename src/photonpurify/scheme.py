@@ -48,13 +48,18 @@ from .fock import (
     vacuum,
 )
 from .measurement import ConditionResult, condition
-from .optics import BeamSplitterParams, apply, beamsplitter
+from .optics import BeamSplitterParams, InterferometerUnitary, apply, beamsplitter
 
 #: Residual single-photon amplitude allowed after cancellation.
 CANCEL_TOL = 1e-10
 
 # The stage-2 optimum for every c: a 50/50 splitter with phi2 = 0.
 _STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
+# Stage 2's fixed parts, built once and shared by every run: the matrix is
+# read-only and states are immutable.
+_STAGE_TWO_UNITARY = beamsplitter(_STAGE_TWO_OPTIMUM)
+_VACUUM = vacuum(1)
+_ONE_PHOTON = fock_state((1,))
 
 #: Degenerate reason codes, reported in this order.
 NO_PHOTON_PAIR = "no-photon-pair"
@@ -148,15 +153,15 @@ def stage_two(
         return 0.0, None
     raw = StateVector(1, {(0,): complex(c.c0), (2,): complex(c.c2)})
     c_state, _ = normalize(raw)
-    heralded = _herald(c_state, bs2)
+    heralded = _herald(c_state, beamsplitter(bs2))
     return heralded.probability, heralded.state
 
 
-def _herald(c_state: StateVector, bs2: BeamSplitterParams) -> ConditionResult:
+def _herald(c_state: StateVector, u2: InterferometerUnitary) -> ConditionResult:
     # Stage 2 on (vacuum ancilla, conditioned mode) = modes (0, 1): mix on
     # Lambda' and detect one photon at the conditioned mode's port.
-    joint = tensor(vacuum(1), c_state)
-    return condition(apply(beamsplitter(bs2), joint), {1: 1})
+    joint = tensor(_VACUUM, c_state)
+    return condition(apply(u2, joint), {1: 1})
 
 
 def optimize_stage_two(c: StageOneCoefficients) -> BeamSplitterParams:
@@ -207,11 +212,11 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
         # Nothing survived stage 1: stage1 already reads (0.0, None).
         heralded = stage1
     else:
-        heralded = _herald(stage1.state, _STAGE_TWO_OPTIMUM)
+        heralded = _herald(stage1.state, _STAGE_TWO_UNITARY)
     if heralded.state is None:
         fid = 0.0
     else:
-        fid = fidelity(heralded.state, fock_state((1,)))
+        fid = fidelity(heralded.state, _ONE_PHOTON)
     return SchemeResult(
         lambda1=params,
         lambda2=_STAGE_TWO_OPTIMUM,
@@ -246,7 +251,11 @@ def success_curve_new(p: float) -> float:
 
 
 def success_curve_old(p: float) -> float:
-    """Success of the earlier three-splitter proposal, for comparison."""
+    """Success of the earlier three-splitter proposal, for comparison.
+
+    Quoted as the source paper reports it, not derived here: this package
+    does not simulate that circuit.
+    """
     if not (0.0 <= p <= 1.0):
         raise OutOfRange(f"p must lie in [0, 1], got {p!r}")
     return 16.0 * p**3 / 81.0

@@ -1,8 +1,10 @@
 """Randomized invariant suite behind the verify subcommand.
 
-Six named checks: unitarity, norm-preservation, permanent-vs-oracle,
-apply-vs-oracle, purity-grid, and dominance. Each returns a CheckResult
-with a worst-case defect so failures carry numbers, not just a flag.
+Six named checks: unitarity (two-mode splitters), norm-preservation,
+permanent-vs-oracle, apply-vs-oracle, purity-grid, and dominance (simulated
+identical-input runs against p^2/4 and 16p^3/81). Each returns a
+CheckResult with a worst-case defect so failures carry numbers, not just a
+flag.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .optics import (
     InterferometerUnitary,
     apply,
     beamsplitter,
-    embed,
     permanent,
 )
 from .scheme import run_scheme, success_curve_new, success_curve_old
@@ -33,6 +34,7 @@ NORM_TOL = 1e-12
 ORACLE_TOL = 1e-12
 PERMANENT_TOL = 1e-12
 PURITY_TOL = 1e-10
+DOMINANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,14 @@ def random_state(rng: np.random.Generator, modes: int, max_photons: int) -> Stat
 
 
 def check_unitarity(rng: np.random.Generator, trials: int) -> CheckResult:
-    """Random splitter products and embeddings stay unitary."""
+    """Random splitters composed with two-mode Haar unitaries stay unitary."""
     worst = 0.0
     for _ in range(trials):
         theta = rng.uniform(0.0, math.pi / 2)
         phi = rng.uniform(-math.pi, math.pi)
         bs = beamsplitter(BeamSplitterParams(theta, phi))
-        big = embed(bs, (0, 2), 3)
-        composed = big.matrix @ random_unitary(rng, 3).matrix
-        defect = float(np.max(np.abs(composed.conj().T @ composed - np.eye(3))))
+        composed = bs.matrix @ random_unitary(rng, 2).matrix
+        defect = float(np.max(np.abs(composed.conj().T @ composed - np.eye(2))))
         worst = max(worst, defect)
     return CheckResult(
         "unitarity", worst <= UNITARITY_TOL, f"max defect {worst:.3e} over {trials} trials"
@@ -185,13 +186,28 @@ def check_purity_grid(rng: np.random.Generator, trials: int) -> CheckResult:
 
 
 def check_dominance(rng: np.random.Generator, trials: int) -> CheckResult:
-    """New success curve beats the old one on all of (0, 1]."""
-    del rng, trials
-    margin = min(
-        success_curve_new(p) - success_curve_old(p) for p in np.linspace(1e-3, 1.0, 1000)
-    )
+    """Simulated identical-input runs follow p^2/4 and beat 16p^3/81.
+
+    At 101 points of (0, 1], ``run_scheme`` gets the same input twice, with
+    a random phase; its success must match ``success_curve_new`` to a
+    relative DOMINANCE_TOL and exceed ``success_curve_old``.
+    """
+    del trials
+    gaps, margins = [], []
+    for p in np.linspace(1e-3, 1.0, 101):
+        p = float(p)
+        s = input_from_probability(p, rng.uniform(-math.pi, math.pi))
+        p_success = run_scheme(s, s).p_success
+        new = success_curve_new(p)
+        gaps.append(abs(p_success - new) / new)
+        margins.append(p_success - success_curve_old(p))
+    # numpy reductions propagate NaN, so a NaN success fails the check.
+    worst, margin = float(np.max(gaps)), float(np.min(margins))
     return CheckResult(
-        "dominance", margin > 0.0, f"min new-minus-old margin {margin:.3e} on 1000 points"
+        "dominance",
+        worst <= DOMINANCE_TOL and margin > 0.0,
+        f"max relative gap to p^2/4 {worst:.3e}, min margin over 16p^3/81 "
+        f"{margin:.3e} on 101 simulated points",
     )
 
 

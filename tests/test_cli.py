@@ -235,6 +235,13 @@ class TestSweep:
         assert code == 2
         assert "config error" in err
 
+    def test_huge_steps_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"p1": {"start": 0.0, "stop": 1.0, "steps": 10**20}}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err
+
     def test_removed_cutoff_flag_exits_two(self, capsys):
         assert main(["sweep", "--cutoff", "4"]) == 2
 

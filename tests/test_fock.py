@@ -47,6 +47,14 @@ class TestStateVector:
         with pytest.raises(ZeroState):
             StateVector(1, {(0,): 1e-15})
 
+    def test_amplitudes_read_only(self):
+        given_amps = {(0,): 0.6, (1,): 0.8}
+        s = StateVector(1, given_amps)
+        with pytest.raises(TypeError):
+            s.amps[(0,)] = 1.0
+        given_amps[(0,)] = 0.0
+        assert s.amplitude((0,)) == 0.6
+
     def test_rejects_wrong_occupation_length(self):
         with pytest.raises(ValueError):
             StateVector(2, {(0,): 1.0})

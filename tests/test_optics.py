@@ -5,8 +5,6 @@ import pytest
 
 from photonpurify import (
     BeamSplitterParams,
-    DuplicateMode,
-    IndexOutOfRange,
     InterferometerUnitary,
     ModeMismatch,
     NotSquare,
@@ -15,7 +13,6 @@ from photonpurify import (
     StateVector,
     apply,
     beamsplitter,
-    embed,
     fock_state,
     normalize,
     permanent,
@@ -87,35 +84,6 @@ class TestInterferometerUnitary:
 
     def test_dim(self):
         assert random_unitary(np.random.default_rng(0), 3).dim == 3
-
-
-class TestEmbed:
-    def test_identity_block(self):
-        i2 = InterferometerUnitary(np.eye(2))
-        assert np.allclose(embed(i2, (0, 1), 3).matrix, np.eye(3))
-
-    def test_swap_permutation(self):
-        swap = InterferometerUnitary([[0, 1], [1, 0]])
-        m = embed(swap, (0, 2), 3).matrix
-        perm = np.zeros((3, 3))
-        perm[0, 2] = perm[2, 0] = perm[1, 1] = 1
-        assert np.allclose(m, perm)
-
-    def test_block_placement(self):
-        u = beamsplitter(BeamSplitterParams(math.pi / 4, math.pi))
-        m = embed(u, (0, 1), 3).matrix
-        assert m[2, 2] == 1
-        assert np.allclose(m[:2, :2], u.matrix)
-        assert np.allclose(m[2, :2], 0) and np.allclose(m[:2, 2], 0)
-
-    def test_bad_targets(self):
-        u = beamsplitter(BeamSplitterParams(0.3, 0.0))
-        with pytest.raises(IndexOutOfRange):
-            embed(u, (0, 3), 3)
-        with pytest.raises(DuplicateMode):
-            embed(u, (1, 1), 3)
-        with pytest.raises(ModeMismatch):
-            embed(InterferometerUnitary(np.eye(3)), (0, 1), 4)
 
 
 class TestPermanent:

@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,9 @@ from photonpurify import (
 from photonpurify import verify
 from photonpurify.verify import (
     amplitude_distance,
+    check_dominance,
     check_norm_preservation,
+    check_unitarity,
     random_matrix,
     random_state,
     random_unitary,
@@ -96,6 +101,25 @@ class TestRunChecks:
         monkeypatch.setattr(verify, "apply", leaky_apply)
         result = check_norm_preservation(np.random.default_rng(0), trials=20)
         assert result.name == "norm-preservation"
+        assert not result.passed
+
+    def test_wrong_success_fails_dominance(self, monkeypatch):
+        real_run_scheme = verify.run_scheme
+
+        def inflated(in1, in2):
+            result = real_run_scheme(in1, in2)
+            return dataclasses.replace(result, p_success=1.001 * result.p_success)
+
+        monkeypatch.setattr(verify, "run_scheme", inflated)
+        result = check_dominance(np.random.default_rng(0), trials=1)
+        assert result.name == "dominance"
+        assert not result.passed
+
+    def test_non_unitary_splitter_fails_unitarity(self, monkeypatch):
+        skewed = SimpleNamespace(matrix=np.array([[1, 1e-6], [0, 1]], dtype=np.complex128))
+        monkeypatch.setattr(verify, "beamsplitter", lambda params: skewed)
+        result = check_unitarity(np.random.default_rng(0), trials=5)
+        assert result.name == "unitarity"
         assert not result.passed
 
     def test_trials_validation(self):
