@@ -3,9 +3,10 @@
 Two zero/one-photon superpositions interfere on a beam splitter chosen to
 cancel the single-photon term of the conditioned output; a second splitter
 and a one-photon detection then herald an exact |1> state. This package
-simulates the circuit on sparse Fock states, solves and optimizes the
-splitter parameters, sweeps parameter grids deterministically, and checks
-itself against a permanent-free oracle.
+simulates the circuit on sparse Fock states, solves the cancellation
+splitter Lambda (the second splitter Lambda' is its analytic optimum, a
+fixed 50/50 splitter), sweeps parameter grids deterministically, and
+checks itself against a permanent-free oracle.
 """
 
 from .errors import (
@@ -37,7 +38,6 @@ from .fock import (
     normalize,
     sector_occupations,
     tensor,
-    total_photons,
     vacuum,
 )
 from .measurement import ConditionResult, condition, outcome_distribution
@@ -52,7 +52,6 @@ from .scheme import (
     SchemeResult,
     StageOneCoefficients,
     closed_form_success,
-    optimize_stage_two,
     run_scheme,
     solve_cancellation,
     stage_one_coefficients,
@@ -62,7 +61,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"
@@ -98,7 +97,6 @@ __all__ = [
     "input_to_state",
     "make_input",
     "normalize",
-    "optimize_stage_two",
     "outcome_distribution",
     "permanent",
     "permanent_naive",
@@ -114,6 +112,5 @@ __all__ = [
     "success_curve_new",
     "success_curve_old",
     "tensor",
-    "total_photons",
     "vacuum",
 ]

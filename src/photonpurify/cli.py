@@ -2,15 +2,13 @@
 
 Exit codes are a stable contract: 0 success, 1 invariant failure, 2
 configuration error, 3 I/O error. Config comes from a JSON file
-(--config) with inline flags overriding file values. The verify seed falls
-back to the PHOTON_PURIFY_SEED environment variable when --seed is absent.
+(--config) with inline flags overriding file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ConfigInvalid, OutOfRange
@@ -30,7 +28,6 @@ from .sweep import (
 from .svgplot import success_comparison_svg
 from .verify import CheckResult, run_checks
 
-ENV_SEED = "PHOTON_PURIFY_SEED"
 DEFAULT_TRIALS = 100
 
 _RUN_KEYS = {"input1", "input2", "format"}
@@ -59,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also write the success-curve comparison figure")
 
     verify_p = sub.add_parser("verify", help="run the randomized invariant suite")
-    verify_p.add_argument("--seed", type=int, default=None)
+    verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     return parser
 
@@ -228,18 +225,6 @@ def _check_line(r: CheckResult) -> str:
     return f"{status} {r.name}: {r.detail}"
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -264,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             if config.plot is not None:
                 _emit(success_comparison_svg(), config.plot)
             return 0
-        report, ok = cmd_verify(_resolve_seed(args), args.trials)
+        report, ok = cmd_verify(args.seed, args.trials)
         sys.stdout.write(report)
         return 0 if ok else 1
     except (ConfigInvalid, OutOfRange) as exc:

@@ -189,10 +189,6 @@ def normalize(a: StateVector) -> tuple[StateVector, float]:
     return StateVector(a.modes, scaled), n2
 
 
-def total_photons(occ: Occupation) -> int:
-    return sum(occ)
-
-
 @lru_cache(maxsize=None)
 def sector_occupations(photons: int, modes: int) -> tuple[Occupation, ...]:
     """All occupations of ``modes`` modes holding exactly ``photons`` photons.

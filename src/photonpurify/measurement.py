@@ -51,17 +51,15 @@ def condition(s: StateVector, detected: dict[int, int]) -> ConditionResult:
     _validate_detected(s, detected)
     keep = [m for m in range(s.modes) if m not in detected]
     projected: dict[tuple[int, ...], complex] = {}
-    prob = 0.0
     for occ, amp in s.amps.items():
         if any(occ[m] != n for m, n in detected.items()):
             continue
         reduced = tuple(occ[m] for m in keep)
         projected[reduced] = projected.get(reduced, 0j) + amp
-        prob += abs(amp) ** 2
     if not projected:
         return ConditionResult(0.0, None)
     raw = StateVector(len(keep), projected)
-    normalized, _ = normalize(raw)
+    normalized, prob = normalize(raw)
     return ConditionResult(prob, normalized)
 
 

@@ -62,6 +62,11 @@ class BeamSplitterParams:
             raise OutOfRange(f"phi {self.phi!r} outside [-pi, pi]")
 
 
+def unitarity_defect(m: np.ndarray) -> float:
+    """||U^dag U - I||_max of a square matrix; NaN entries give NaN."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
 class InterferometerUnitary:
     """M x M unitary on mode creation operators (column convention).
 
@@ -77,8 +82,9 @@ class InterferometerUnitary:
             raise NotSquare(f"interferometer matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise NotSquare("interferometer needs at least one mode")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if defect > UNITARITY_TOL:
+        defect = unitarity_defect(m)
+        # Written so that a NaN defect fails too.
+        if not defect <= UNITARITY_TOL:
             raise NotUnitary(
                 f"||U^dag U - I||_max = {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
             )

@@ -129,13 +129,6 @@ def solve_cancellation(
     return BeamSplitterParams(math.atan(abs(ratio)), cmath.phase(ratio)), False
 
 
-def _require_cancelled(c: StageOneCoefficients) -> None:
-    if abs(c.c1) > CANCEL_TOL:
-        raise PurityViolated(
-            f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
-        )
-
-
 def stage_two(
     c: StageOneCoefficients, bs2: BeamSplitterParams
 ) -> tuple[float, StateVector | None]:
@@ -148,7 +141,10 @@ def stage_two(
     precondition |c1| <= CANCEL_TOL is enforced; past it the residual c1
     is dropped, so the heralded state is exactly |1>.
     """
-    _require_cancelled(c)
+    if abs(c.c1) > CANCEL_TOL:
+        raise PurityViolated(
+            f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
+        )
     if max(abs(c.c0), abs(c.c2)) <= PRUNE_THRESHOLD:
         return 0.0, None
     raw = StateVector(1, {(0,): complex(c.c0), (2,): complex(c.c2)})
@@ -162,17 +158,6 @@ def _herald(c_state: StateVector, u2: InterferometerUnitary) -> ConditionResult:
     # Lambda' and detect one photon at the conditioned mode's port.
     joint = tensor(_VACUUM, c_state)
     return condition(apply(u2, joint), {1: 1})
-
-
-def optimize_stage_two(c: StageOneCoefficients) -> BeamSplitterParams:
-    """Stage-2 splitter maximizing the heralding probability.
-
-    The conditional success 2 |c2n|^2 cos^2(theta2) sin^2(theta2) peaks at
-    theta2 = pi/4 for every c, so the optimum is the 50/50 splitter with
-    phi2 = 0. Raises PurityViolated when |c1| exceeds CANCEL_TOL.
-    """
-    _require_cancelled(c)
-    return _STAGE_TWO_OPTIMUM
 
 
 def _degenerate_reasons(

@@ -70,8 +70,6 @@ class RangeSpec:
             raise ConfigInvalid(f"range start {self.start} exceeds stop {self.stop}")
 
     def points(self) -> tuple[float, ...]:
-        if self.steps == 1:
-            return (float(self.start),)
         return tuple(float(x) for x in np.linspace(self.start, self.stop, self.steps))
 
 

@@ -267,25 +267,10 @@ class TestVerify:
     def test_negative_seed_is_config_error(self, capsys):
         assert run_cli(capsys, "verify", "--seed", "-1", "--trials", "1")[0] == 2
 
-    def test_negative_env_seed_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHOTON_PURIFY_SEED", "-3")
-        assert run_cli(capsys, "verify", "--trials", "1")[0] == 2
-
-    def test_env_seed_matches_flag(self, capsys, monkeypatch):
-        _, flagged, _ = run_cli(capsys, "verify", "--seed", "123", "--trials", "10")
-        monkeypatch.setenv("PHOTON_PURIFY_SEED", "123")
-        _, from_env, _ = run_cli(capsys, "verify", "--trials", "10")
-        assert flagged == from_env
-
-    def test_bad_env_seed_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHOTON_PURIFY_SEED", "not-a-number")
-        assert run_cli(capsys, "verify", "--trials", "10")[0] == 2
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PHOTON_PURIFY_SEED", "999")
-        _, out, _ = run_cli(capsys, "verify", "--seed", "0", "--trials", "10")
-        _, baseline, _ = run_cli(capsys, "verify", "--seed", "0", "--trials", "10")
-        assert out == baseline
+    def test_seed_defaults_to_zero(self, capsys):
+        _, default, _ = run_cli(capsys, "verify", "--trials", "10")
+        _, zero, _ = run_cli(capsys, "verify", "--seed", "0", "--trials", "10")
+        assert default == zero
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

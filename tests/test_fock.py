@@ -21,7 +21,6 @@ from photonpurify import (
     normalize,
     sector_occupations,
     tensor,
-    total_photons,
     vacuum,
 )
 
@@ -215,9 +214,6 @@ class TestSectors:
     def test_content(self):
         occs = set(sector_occupations(2, 2))
         assert occs == {(2, 0), (1, 1), (0, 2)}
-
-    def test_total_photons(self):
-        assert total_photons((1, 2, 0)) == 3
 
 
 @given(

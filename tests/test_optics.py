@@ -77,6 +77,10 @@ class TestInterferometerUnitary:
         with pytest.raises(NotUnitary):
             InterferometerUnitary(bad)
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(NotUnitary):
+            InterferometerUnitary(np.full((2, 2), np.nan))
+
     def test_matrix_read_only(self):
         u = beamsplitter(BeamSplitterParams(0.3, 0.0))
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from photonpurify import (
     input_from_probability,
     input_to_state,
     make_input,
-    optimize_stage_two,
     run_scheme,
     solve_cancellation,
     stage_one_coefficients,
@@ -160,26 +159,9 @@ class TestStageTwo:
 
 
 class TestOptimizeStageTwo:
-    def test_balanced_splitter_is_optimal(self):
-        rng = np.random.default_rng(43)
-        for _ in range(20):
-            c0 = rng.uniform(0.1, 1.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            c2 = rng.uniform(0.1, 1.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            best = optimize_stage_two(StageOneCoefficients(c0, 0.0, c2))
-            assert abs(best.theta - math.pi / 4) < 1e-8
-            assert best.phi == 0.0
-
-    def test_flat_objective_falls_back_to_balanced(self):
-        best = optimize_stage_two(StageOneCoefficients(1.0, 0.0, 0.0))
-        assert best.theta == pytest.approx(math.pi / 4, abs=1e-15)
-
-    def test_rejects_residual_middle_term(self):
-        with pytest.raises(PurityViolated):
-            optimize_stage_two(StageOneCoefficients(0.5, 0.3, 0.5))
-
     def test_optimum_beats_neighbors(self):
         c = StageOneCoefficients(0.3, 0.0, 0.7)
-        best = optimize_stage_two(c)
+        best = BeamSplitterParams(math.pi / 4, 0.0)
         p_best, _ = stage_two(c, best)
         for delta in (-0.01, 0.01):
             p_off, _ = stage_two(c, BeamSplitterParams(best.theta + delta, 0.0))

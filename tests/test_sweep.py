@@ -20,6 +20,9 @@ class TestGridCap:
         cfg = SweepConfig(p1=AXIS_1001, p2=AXIS_1001, diagonal=True)
         assert cfg.diagonal
 
+    def test_single_step_is_start(self):
+        assert RangeSpec(0.2, 0.9, 1).points() == (0.2,)
+
     def test_cap_is_inclusive(self):
         axis = RangeSpec(0.0, 1.0, 1000)
         SweepConfig(p1=axis, p2=axis)

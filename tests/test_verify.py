@@ -23,6 +23,8 @@ from photonpurify.verify import (
     random_unitary,
 )
 
+NAN = float("nan")
+
 CHECK_NAMES = [
     "unitarity",
     "norm-preservation",
@@ -111,7 +113,7 @@ class TestRunChecks:
             return dataclasses.replace(result, p_success=1.001 * result.p_success)
 
         monkeypatch.setattr(verify, "run_scheme", inflated)
-        result = check_dominance(np.random.default_rng(0), trials=1)
+        result = check_dominance(np.random.default_rng(0))
         assert result.name == "dominance"
         assert not result.passed
 
@@ -121,6 +123,26 @@ class TestRunChecks:
         result = check_unitarity(np.random.default_rng(0), trials=5)
         assert result.name == "unitarity"
         assert not result.passed
+
+    @pytest.mark.parametrize(
+        "check, target, fake",
+        [
+            (lambda: verify.check_norm_preservation(np.random.default_rng(0), 3),
+             "outcome_distribution", lambda s, modes: {modes: NAN}),
+            (lambda: verify.check_permanent_vs_oracle(np.random.default_rng(0), 3),
+             "permanent_naive", lambda m: complex(NAN, 0.0)),
+            (lambda: verify.check_apply_vs_oracle(np.random.default_rng(0), 3),
+             "amplitude_distance", lambda a, b: NAN),
+            (verify.check_purity_grid, "run_scheme",
+             lambda in1, in2: SimpleNamespace(degenerate=False, output_fidelity=NAN)),
+        ],
+        ids=["norm-preservation", "permanent-vs-oracle", "apply-vs-oracle", "purity-grid"],
+    )
+    def test_nan_defect_fails(self, monkeypatch, check, target, fake):
+        monkeypatch.setattr(verify, target, fake)
+        result = check()
+        assert not result.passed
+        assert "nan" in result.detail
 
     def test_trials_validation(self):
         with pytest.raises(ConfigInvalid):
