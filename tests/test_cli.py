@@ -272,6 +272,14 @@ class TestVerify:
         _, zero, _ = run_cli(capsys, "verify", "--seed", "0", "--trials", "10")
         assert default == zero
 
+    def test_flag_beats_env(self, capsys, monkeypatch):
+        # The old PHOTON_PURIFY_SEED fallback is gone: a stale value in the
+        # environment must not change what --seed selects.
+        _, baseline, _ = run_cli(capsys, "verify", "--seed", "0", "--trials", "10")
+        monkeypatch.setenv("PHOTON_PURIFY_SEED", "999")
+        _, out, _ = run_cli(capsys, "verify", "--seed", "0", "--trials", "10")
+        assert out == baseline
+
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(

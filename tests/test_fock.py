@@ -215,6 +215,10 @@ class TestSectors:
         occs = set(sector_occupations(2, 2))
         assert occs == {(2, 0), (1, 1), (0, 2)}
 
+    def test_total_photons(self):
+        for n in range(4):
+            assert {sum(occ) for occ in sector_occupations(n, 3)} == {n}
+
 
 @given(
     st.lists(

@@ -159,6 +159,29 @@ class TestStageTwo:
 
 
 class TestOptimizeStageTwo:
+    def test_balanced_splitter_is_optimal(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            in1, in2 = random_input(rng), random_input(rng)
+            res = run_scheme(in1, in2)
+            assert abs(res.lambda2.theta - math.pi / 4) < 1e-8
+            assert res.lambda2.phi == 0.0
+            c = stage_one_coefficients(in1, in2, res.lambda1)
+            p_best, _ = stage_two(c, res.lambda2)
+            for theta2 in np.linspace(0.0, HALF_PI, 9):
+                p_other, _ = stage_two(c, BeamSplitterParams(theta2, 0.0))
+                assert p_other <= p_best + 1e-12
+
+    def test_flat_objective_falls_back_to_balanced(self):
+        res = run_scheme(make_input(1.0, 0.0), make_input(1.0, 0.0))
+        assert res.stage_two_probability == 0.0
+        assert res.lambda2.theta == pytest.approx(math.pi / 4, abs=1e-15)
+
+    def test_rejects_residual_middle_term(self):
+        best = run_scheme(BALANCED, BALANCED).lambda2
+        with pytest.raises(PurityViolated):
+            stage_two(StageOneCoefficients(0.5, 0.3, 0.5), best)
+
     def test_optimum_beats_neighbors(self):
         c = StageOneCoefficients(0.3, 0.0, 0.7)
         best = BeamSplitterParams(math.pi / 4, 0.0)
