@@ -1,8 +1,10 @@
 """Multimode bosonic Fock states as sparse amplitude maps.
 
 A state is a map from occupation tuples ``(n_0, ..., n_{M-1})`` to complex
-amplitudes. Scheme states never hold more than a handful of basis elements,
-so the sparse representation is both the fastest and the clearest one.
+amplitudes. The scheme keeps its inputs, conditioned states and heralded
+output here, one mode and at most three basis elements each. Its two
+stages run on scalars in ``scheme``, reproducing :func:`tensor`,
+``optics.apply`` and ``measurement.condition`` bit for bit.
 
 Conventions enforced here:
 

@@ -28,8 +28,11 @@ column-repeated submatrices:
 
 where U[n', n] repeats row i n'_i times and column j n_j times. The
 permanent itself is evaluated by a pure-Python Ryser kernel with direct
-formulas below dimension 3. The scheme's states hold at most two photons,
-so its transitions never reach the kernel; only the oracle checks do.
+formulas below dimension 3. The scheme does not call ``apply``: its states
+hold at most two photons, and ``scheme`` evaluates them on scalars with
+the same arithmetic. ``apply`` is the general engine that the scheme's
+tests compare against and that ``verify`` checks; only those oracle
+checks reach the kernel.
 """
 
 from __future__ import annotations

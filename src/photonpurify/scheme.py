@@ -27,6 +27,12 @@ c2n the normalized two-photon amplitude, maximized by a 50/50 splitter.
 The joint success probability reduces to |b1 b2|^2 sin^2(theta)
 cos^2(theta), which is p^2/4 for identical inputs with one-photon
 probability p.
+
+Both stages run on complex scalars: one private step does the work of
+``fock.tensor``, ``optics.apply`` and ``measurement.condition`` for a
+two-mode state of at most two photons, with the same float operations in
+the same order, so every result is bit-identical to the generic engine's.
+That engine stays the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -44,22 +50,20 @@ from .fock import (
     fock_state,
     input_to_state,
     normalize,
-    tensor,
-    vacuum,
 )
-from .measurement import ConditionResult, condition
-from .optics import BeamSplitterParams, InterferometerUnitary, apply, beamsplitter
+from .optics import BeamSplitterParams, beamsplitter
 
 #: Residual single-photon amplitude allowed after cancellation.
 CANCEL_TOL = 1e-10
 
 # The stage-2 optimum for every c: a 50/50 splitter with phi2 = 0.
 _STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
-# Stage 2's fixed parts, built once and shared by every run: the matrix is
-# read-only and states are immutable.
-_STAGE_TWO_UNITARY = beamsplitter(_STAGE_TWO_OPTIMUM)
-_VACUUM = vacuum(1)
+# Stage 2's fixed parts, built once and shared by every run: the 50/50
+# matrix as nested lists, the vacuum ancilla's amplitudes and the |1> target.
+_STAGE_TWO_MATRIX = beamsplitter(_STAGE_TWO_OPTIMUM).matrix.tolist()
+_ANCILLA = {(0,): 1.0 + 0j}
 _ONE_PHOTON = fock_state((1,))
+_SQRT2 = math.sqrt(2.0)
 
 #: Degenerate reason codes, reported in this order.
 NO_PHOTON_PAIR = "no-photon-pair"
@@ -137,27 +141,72 @@ def stage_two(
     The vacuum ancilla enters Lambda' first, the normalized conditioned
     mode second, and the detector watches the conditioned mode's port.
     Returns the conditional success probability and the heralded state on
-    the ancilla's port (None when the detector can never fire). The purity
-    precondition |c1| <= CANCEL_TOL is enforced; past it the residual c1
-    is dropped, so the heralded state is exactly |1>.
+    the ancilla's port, or (0.0, None) when no amplitude survives pruning
+    and the detector can never fire. The purity precondition
+    |c1| <= CANCEL_TOL is enforced; past it the residual c1 is dropped, so
+    the heralded state is exactly |1>.
     """
     if abs(c.c1) > CANCEL_TOL:
         raise PurityViolated(
             f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
         )
-    if max(abs(c.c0), abs(c.c2)) <= PRUNE_THRESHOLD:
+    _, c_state = _normalized({(0,): complex(c.c0), (2,): complex(c.c2)})
+    if c_state is None:
         return 0.0, None
-    raw = StateVector(1, {(0,): complex(c.c0), (2,): complex(c.c2)})
-    c_state, _ = normalize(raw)
-    heralded = _herald(c_state, beamsplitter(bs2))
-    return heralded.probability, heralded.state
+    return _two_mode_step(_ANCILLA, c_state.amps, beamsplitter(bs2).matrix.tolist(), 1)
 
 
-def _herald(c_state: StateVector, u2: InterferometerUnitary) -> ConditionResult:
-    # Stage 2 on (vacuum ancilla, conditioned mode) = modes (0, 1): mix on
-    # Lambda' and detect one photon at the conditioned mode's port.
-    joint = tensor(_VACUUM, c_state)
-    return condition(apply(u2, joint), {1: 1})
+def _normalized(amps: dict) -> tuple[float, StateVector | None]:
+    # (squared norm, normalized one-mode state) of the amplitudes that
+    # StateVector keeps, or (0.0, None) when none survives. A non-finite
+    # amplitude is kept, so StateVector rejects it.
+    kept = {occ: z for occ, z in amps.items() if not abs(z) < PRUNE_THRESHOLD}
+    if not kept:
+        return 0.0, None
+    state, n2 = normalize(StateVector(1, kept))
+    return n2, state
+
+
+def _two_mode_step(left, right, m, seen: int) -> tuple[float, StateVector | None]:
+    """Tensor L with R, pass them through U and detect ``seen`` photons on
+    mode 1, all on complex scalars.
+
+    ``left`` and ``right`` are the amplitude maps of the one-mode states L
+    and R, with at most one photon in L and at most two photons in all;
+    ``m`` is U's 2x2 matrix as nested lists. Returns (probability, state)
+    as ``measurement.condition`` does. The float operations are those of
+    the generic route (``fock.tensor``, ``optics.apply``, then
+    ``measurement.condition``) in the same order, so the result is
+    bit-identical to it: an amplitude that route never stores is held here
+    as 0j, which changes at most the sign of a zero until the projection's
+    ``0j +`` clears it.
+    """
+    l0, l1 = left.get((0,), 0j), left.get((1,), 0j)
+    r0, r1, r2 = right.get((0,), 0j), right.get((1,), 0j), right.get((2,), 0j)
+    # tensor: StateVector drops the small products.
+    e00, e01, e02, e10, e11 = (
+        z if abs(z) >= PRUNE_THRESHOLD else 0j
+        for z in (l0 * r0, l0 * r1, l0 * r2, l1 * r0, l1 * r1)
+    )
+    (m00, m01), (m10, m11) = m
+    # apply: per photon-number sector, inputs summed in tensor's order and
+    # weighted by 1/sqrt(n0! n1!), the two-photon permanents written out.
+    # Only the outputs with `seen` photons on mode 1 are formed.
+    w02 = e02 / _SQRT2
+    if seen == 0:
+        out = (
+            e00,
+            e01 * m01 + e10 * m00,
+            (w02 * (m01 * m01 + m01 * m01) + e11 * (m00 * m01 + m01 * m00)) / _SQRT2,
+        )
+    else:
+        out = (
+            e01 * m11 + e10 * m10,
+            w02 * (m01 * m11 + m01 * m11) + e11 * (m00 * m11 + m01 * m10),
+        )
+    # condition: the projection adds to 0j; apply's StateVector pruning
+    # (which also drops exact zeros) happens in _normalized.
+    return _normalized({(n,): 0j + z for n, z in enumerate(out)})
 
 
 def _degenerate_reasons(
@@ -181,7 +230,10 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     photons. Stage 2 then puts the vacuum ancilla on mode 0 and the
     conditioned mode on mode 1; Lambda' acts on that pair and the stage-2
     detector watches mode 1 for one photon. No state holds more than two
-    photons. p_success is the joint probability of both outcomes.
+    photons, so each stage runs on complex scalars (see the module
+    docstring) rather than through the generic ``tensor``, ``apply`` and
+    ``condition`` route, whose results it reproduces bit for bit.
+    p_success is the joint probability of both outcomes.
 
     Lambda' is the analytic optimum, a 50/50 splitter; for any other
     Lambda' use ``stage_two(stage_one_coefficients(in1, in2, lambda1),
@@ -191,27 +243,27 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     params, vacuous = solve_cancellation(in1, in2)
     reasons = _degenerate_reasons(in1, in2, vacuous)
 
-    inputs = tensor(input_to_state(in1), input_to_state(in2))
-    stage1 = condition(apply(beamsplitter(params), inputs), {1: 0})
-    if stage1.state is None:
-        # Nothing survived stage 1: stage1 already reads (0.0, None).
-        heralded = stage1
+    p1, state1 = _two_mode_step(
+        input_to_state(in1).amps,
+        input_to_state(in2).amps,
+        beamsplitter(params).matrix.tolist(),
+        0,
+    )
+    if state1 is None:
+        p2, state = 0.0, None
     else:
-        heralded = _herald(stage1.state, _STAGE_TWO_UNITARY)
-    if heralded.state is None:
-        fid = 0.0
-    else:
-        fid = fidelity(heralded.state, _ONE_PHOTON)
+        p2, state = _two_mode_step(_ANCILLA, state1.amps, _STAGE_TWO_MATRIX, 1)
+    fid = 0.0 if state is None else fidelity(state, _ONE_PHOTON)
     return SchemeResult(
         lambda1=params,
         lambda2=_STAGE_TWO_OPTIMUM,
-        stage_one_probability=stage1.probability,
-        stage_two_probability=heralded.probability,
-        p_success=stage1.probability * heralded.probability,
+        stage_one_probability=p1,
+        stage_two_probability=p2,
+        p_success=p1 * p2,
         output_fidelity=fid,
         degenerate=bool(reasons),
         degenerate_reasons=reasons,
-        output_state=heralded.state,
+        output_state=state,
     )
 
 

@@ -13,6 +13,7 @@ from photonpurify import (
     beamsplitter,
     closed_form_success,
     condition,
+    fidelity,
     fock_state,
     input_from_probability,
     input_to_state,
@@ -126,6 +127,18 @@ class TestStageTwo:
 
     def test_pure_vacuum_never_heralds(self):
         prob, state = stage_two(StageOneCoefficients(1, 0, 0), BeamSplitterParams(math.pi / 4, 0))
+        assert prob == 0.0
+        assert state is None
+
+    def test_amplitudes_at_the_prune_threshold_herald(self):
+        # StateVector keeps |z| >= PRUNE_THRESHOLD, so both terms survive and
+        # the normalized pair heralds like equal c0 and c2 do.
+        prob, state = stage_two(StageOneCoefficients(1e-14, 0, 1e-14), BeamSplitterParams(math.pi / 4, 0))
+        assert abs(prob - 0.25) < 1e-12
+        assert fidelity(state, fock_state((1,))) == pytest.approx(1.0, abs=1e-12)
+
+    def test_amplitudes_below_the_prune_threshold_never_herald(self):
+        prob, state = stage_two(StageOneCoefficients(9.9e-15, 0, 9.9e-15), BeamSplitterParams(math.pi / 4, 0))
         assert prob == 0.0
         assert state is None
 

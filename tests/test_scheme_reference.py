@@ -1,0 +1,174 @@
+"""Bit-identity of the scheme's scalar stages against the generic Fock engine.
+
+``run_scheme`` and ``stage_two`` evaluate the two-photon circuit on
+complex scalars. The reference below rebuilds the same circuit from the
+public generic engine (``tensor``, ``apply``, ``condition``), and every
+result must match it exactly, compared by ``repr`` so that the last bit
+and the sign of a zero count.
+"""
+
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photonpurify import (
+    BeamSplitterParams,
+    StageOneCoefficients,
+    StateVector,
+    apply,
+    beamsplitter,
+    condition,
+    fidelity,
+    fock_state,
+    input_from_probability,
+    input_to_state,
+    normalize,
+    run_scheme,
+    solve_cancellation,
+    stage_two,
+    tensor,
+    vacuum,
+)
+from photonpurify.fock import PRUNE_THRESHOLD
+from photonpurify.scheme import (
+    CANCELLATION_VACUOUS,
+    NO_PHOTON_PAIR,
+    NO_VACUUM_AMPLITUDE,
+    SchemeResult,
+)
+from photonpurify.sweep import RangeSpec
+
+BALANCED = BeamSplitterParams(math.pi / 4, 0.0)
+
+
+def reference_herald(c_state: StateVector, bs2: BeamSplitterParams):
+    # Stage 2 on (vacuum ancilla, conditioned mode), detecting one photon
+    # at the conditioned mode's port.
+    return condition(apply(beamsplitter(bs2), tensor(vacuum(1), c_state)), {1: 1})
+
+
+def reference_run(in1, in2) -> SchemeResult:
+    params, vacuous = solve_cancellation(in1, in2)
+    joint = tensor(input_to_state(in1), input_to_state(in2))
+    stage1 = condition(apply(beamsplitter(params), joint), {1: 0})
+    heralded = stage1 if stage1.state is None else reference_herald(stage1.state, BALANCED)
+    fid = 0.0 if heralded.state is None else fidelity(heralded.state, fock_state((1,)))
+    reasons = tuple(
+        reason
+        for reason, hit in (
+            (NO_PHOTON_PAIR, in1.beta * in2.beta == 0),
+            (NO_VACUUM_AMPLITUDE, in1.alpha * in2.alpha == 0),
+            (CANCELLATION_VACUOUS, vacuous),
+        )
+        if hit
+    )
+    return SchemeResult(
+        lambda1=params,
+        lambda2=BALANCED,
+        stage_one_probability=stage1.probability,
+        stage_two_probability=heralded.probability,
+        p_success=stage1.probability * heralded.probability,
+        output_fidelity=fid,
+        degenerate=bool(reasons),
+        degenerate_reasons=reasons,
+        output_state=heralded.state,
+    )
+
+
+def assert_same_run(p1, p2, phase1=0.0, phase2=0.0):
+    in1 = input_from_probability(p1, phase1)
+    in2 = input_from_probability(p2, phase2)
+    got, want = run_scheme(in1, in2), reference_run(in1, in2)
+    for field in fields(SchemeResult):
+        name = field.name
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), (name, p1, p2, phase1, phase2)
+    if want.output_state is not None:
+        # The state's repr lists its amplitudes; compare them one by one too.
+        assert list(got.output_state.amps) == list(want.output_state.amps)
+        for occ, amp in want.output_state.amps.items():
+            assert repr(got.output_state.amps[occ]) == repr(amp), (occ, p1, p2, phase1, phase2)
+
+
+def grid(steps, lo=0.0, hi=1.0):
+    return RangeSpec(lo, hi, steps).points()
+
+
+def test_default_sweep_grid():
+    for p1 in grid(11):
+        for p2 in grid(11):
+            assert_same_run(p1, p2)
+
+
+def test_pinned_phase_grid():
+    phases = grid(4, -math.pi, math.pi)
+    for p1 in grid(21):
+        for p2 in grid(21):
+            for phase1 in phases:
+                for phase2 in phases:
+                    assert_same_run(p1, p2, phase1, phase2)
+
+
+@pytest.mark.parametrize("p1", [0.0, 1.0])
+@pytest.mark.parametrize("p2", [0.0, 1.0])
+@pytest.mark.parametrize("phase1", [-math.pi, math.pi])
+@pytest.mark.parametrize("phase2", [-math.pi, math.pi])
+def test_corners_at_phase_pi(p1, p2, phase1, phase2):
+    assert_same_run(p1, p2, phase1, phase2)
+
+
+# Inputs where run_scheme and the exact success disagree today (ROADMAP
+# item 2). The scalar stages must reproduce the generic route's values.
+@pytest.mark.parametrize(
+    "p1, p2", [(1e-20, 0.5), (1e-12, 1.0 - 1e-12), (1.0 - 7.3e-15, 1.35e-14)]
+)
+def test_edge_accuracy_reproducers(p1, p2):
+    assert_same_run(p1, p2)
+
+
+edge_probability = st.one_of(
+    st.floats(-30.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-30.0, 0.0).map(lambda e: 1.0 - 10.0**e),
+    st.floats(0.0, 1.0),
+)
+phase = st.floats(-math.pi, math.pi)
+
+
+@given(edge_probability, edge_probability, phase, phase)
+@settings(max_examples=300, deadline=None)
+def test_matches_reference_near_the_edges(p1, p2, phase1, phase2):
+    assert_same_run(p1, p2, phase1, phase2)
+
+
+def assert_same_stage_two(c: StageOneCoefficients, bs2: BeamSplitterParams):
+    got = stage_two(c, bs2)
+    raw = {(0,): complex(c.c0), (2,): complex(c.c2)}
+    if all(abs(z) < PRUNE_THRESHOLD for z in raw.values()):
+        # StateVector would refuse the all-pruned state; stage_two reports
+        # a detector that can never fire.
+        assert got == (0.0, None)
+        return
+    c_state, _ = normalize(StateVector(1, raw))
+    want = reference_herald(c_state, bs2)
+    assert repr(got) == repr((want.probability, want.state))
+
+
+def test_stage_two_matches_reference():
+    rng = np.random.default_rng(9)
+    for i in range(2000):
+        c0, c2 = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-16, 0) for _ in range(2))
+        c1 = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-20, -12)
+        theta = (0.0, math.pi / 4, math.pi / 2, rng.uniform(0, math.pi / 2))[i % 4]
+        bs2 = BeamSplitterParams(theta, rng.uniform(-math.pi, math.pi))
+        assert_same_stage_two(StageOneCoefficients(c0, c1, c2), bs2)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 0.3])
+@pytest.mark.parametrize(
+    "c0, c2", [(1.0, 0.0), (0.0, 1.0), (1e-14, 0.5), (0.5, 1e-14), (1e-14, 1e-14), (9.9e-15, 9.9e-15)]
+)
+def test_stage_two_matches_reference_at_the_prune_threshold(theta, c0, c2):
+    assert_same_stage_two(StageOneCoefficients(c0, 0.0, c2), BeamSplitterParams(theta, 0.4))
