@@ -1,10 +1,12 @@
 """Multimode bosonic Fock states as sparse amplitude maps.
 
 A state is a map from occupation tuples ``(n_0, ..., n_{M-1})`` to complex
-amplitudes. The scheme keeps its inputs, conditioned states and heralded
-output here, one mode and at most three basis elements each. Its two
-stages run on scalars in ``scheme``, reproducing :func:`tensor`,
-``optics.apply`` and ``measurement.condition`` bit for bit.
+amplitudes. The scheme keeps only its heralded output here, one mode and
+at most two basis elements. Its inputs and both stages run on scalars in
+``scheme``, reproducing :func:`tensor`, ``optics.apply``,
+``measurement.condition`` and :func:`normalize` bit for bit; the
+per-amplitude rule and the normalization they share are defined once
+below.
 
 Conventions enforced here:
 
@@ -75,10 +77,8 @@ class StateVector:
                 )
             if any(not isinstance(n, int) or n < 0 for n in occ):
                 raise ValueError(f"occupation {occ} must hold non-negative integers")
-            z = complex(amp)
-            if not cmath.isfinite(z):
-                raise ValueError(f"non-finite amplitude {z!r} at {occ}")
-            if abs(z) >= PRUNE_THRESHOLD:
+            z = _stored(complex(amp))
+            if z:
                 kept[tuple(occ)] = z
         if not kept:
             raise ZeroState("all amplitudes vanished; refusing to store a zero state")
@@ -86,7 +86,7 @@ class StateVector:
 
     @property
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
+        return _squared_norm(self.amps.values())
 
     def amplitude(self, occ: Occupation) -> complex:
         return self.amps.get(tuple(occ), 0j)
@@ -94,10 +94,29 @@ class StateVector:
 
 @dataclass(frozen=True)
 class InputState:
-    """Zero/one-photon superposition alpha|0> + beta|1>."""
+    """Zero/one-photon superposition alpha|0> + beta|1>.
+
+    Both amplitudes are stored as Python complexes. Rejects non-normalized
+    pairs rather than silently rescaling: silent rescaling hides bugs in
+    whatever produced the amplitudes.
+
+    Raises:
+        ValueError: if an amplitude is not finite.
+        NotNormalized: if |alpha|^2 + |beta|^2 is not 1 within NORM_TOL.
+    """
 
     alpha: complex
     beta: complex
+
+    def __post_init__(self):
+        a, b = complex(self.alpha), complex(self.beta)
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError("input amplitudes must be finite")
+        n2 = abs(a) ** 2 + abs(b) ** 2
+        if abs(n2 - 1.0) > NORM_TOL:
+            raise NotNormalized(f"|alpha|^2 + |beta|^2 = {n2!r}, expected 1 within {NORM_TOL}")
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
 
     @property
     def p(self) -> float:
@@ -106,18 +125,9 @@ class InputState:
 
 
 def make_input(alpha: complex, beta: complex) -> InputState:
-    """Validate and build a zero/one-photon superposition input.
-
-    Rejects non-normalized pairs rather than silently rescaling: silent
-    rescaling hides bugs in whatever produced the amplitudes.
-    """
-    a, b = complex(alpha), complex(beta)
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise ValueError("input amplitudes must be finite")
-    n2 = abs(a) ** 2 + abs(b) ** 2
-    if abs(n2 - 1.0) > NORM_TOL:
-        raise NotNormalized(f"|alpha|^2 + |beta|^2 = {n2!r}, expected 1 within {NORM_TOL}")
-    return InputState(a, b)
+    """Validate and build a zero/one-photon superposition input; the same
+    as ``InputState(alpha, beta)``."""
+    return InputState(alpha, beta)
 
 
 def input_to_state(s: InputState) -> StateVector:
@@ -183,12 +193,45 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def normalize(a: StateVector) -> tuple[StateVector, float]:
     """Rescale to unit norm; returns (state, original squared norm)."""
-    n2 = a.norm_squared
+    scaled, n2 = _unit_amplitudes(a.amps.values())
+    return StateVector(a.modes, dict(zip(a.amps, scaled))), n2
+
+
+# The helpers below are the per-amplitude rule, the squared norm and the
+# normalization shared by StateVector, normalize and the scalar stages in
+# ``scheme``.
+# They stay private so that tracing the package's public layers does not
+# wrap a call per amplitude.
+
+
+def _stored(z: complex) -> complex:
+    """``z`` as a StateVector stores it, with 0j for a pruned amplitude.
+
+    Raises ValueError if ``z`` is not finite.
+    """
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite amplitude {z!r}")
+    return z if abs(z) >= PRUNE_THRESHOLD else 0j
+
+
+def _squared_norm(amps) -> float:
+    # Python's sum() in the amplitudes' order; a pruned entry held as 0j
+    # adds an exact zero, so it leaves the sum's bits unchanged.
+    return sum(abs(a) ** 2 for a in amps)
+
+
+def _unit_amplitudes(amps) -> tuple[list[complex], float]:
+    """(amplitudes scaled to unit norm, their original squared norm).
+
+    ``amps`` is a sequence of stored amplitudes, read twice. Scaled
+    amplitudes pass :func:`_stored`, so one that falls below the threshold
+    is 0j.
+    """
+    n2 = _squared_norm(amps)
     if n2 <= _ZERO_NORM_FLOOR:
         raise ZeroState(f"squared norm {n2!r} is below the zero-state floor")
     scale = 1.0 / math.sqrt(n2)
-    scaled = {occ: amp * scale for occ, amp in a.amps.items()}
-    return StateVector(a.modes, scaled), n2
+    return [_stored(a * scale) for a in amps], n2
 
 
 @lru_cache(maxsize=None)

@@ -28,9 +28,11 @@ column-repeated submatrices:
 
 where U[n', n] repeats row i n'_i times and column j n_j times. The
 permanent itself is evaluated by a pure-Python Ryser kernel with direct
-formulas below dimension 3. The scheme does not call ``apply``: its states
-hold at most two photons, and ``scheme`` evaluates them on scalars with
-the same arithmetic. ``apply`` is the general engine that the scheme's
+formulas below dimension 3. The scheme calls neither ``apply`` nor
+``beamsplitter``: its states hold at most two photons, and ``scheme``
+evaluates them on scalars with the same arithmetic, taking each splitter
+from :func:`beamsplitter_matrix` with a scalar unitarity check.
+``beamsplitter`` and ``apply`` are the general engine that the scheme's
 tests compare against and that ``verify`` checks; only those oracle
 checks reach the kernel.
 """
@@ -102,12 +104,54 @@ class InterferometerUnitary:
         return f"InterferometerUnitary(dim={self.dim})"
 
 
-def beamsplitter(params: BeamSplitterParams) -> InterferometerUnitary:
-    """Two-mode unitary for the given mixing angle and phase."""
-    c = math.cos(params.theta)
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def _splitter_entries(params: BeamSplitterParams) -> Matrix2:
+    # The splitter's formula, written once for both forms below.
+    c = complex(math.cos(params.theta))
     s = math.sin(params.theta)
     ph = cmath.exp(1j * params.phi)
-    return InterferometerUnitary([[c, ph * s], [-s / ph, c]])
+    return ((c, ph * s), (-s / ph, c))
+
+
+def check_unitary_2x2(m: Matrix2) -> None:
+    """Raise NotUnitary unless every entry of U^dag U - I is within
+    UNITARITY_TOL, for a 2x2 matrix given as nested rows of scalars.
+
+    The scalar counterpart of ``InterferometerUnitary``'s check, with the
+    same tolerance; an entry that is NaN fails.
+    """
+    (a, b), (c, d) = m
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    defects = (
+        abs(ac * a + cc * c - 1.0),
+        abs(ac * b + cc * d),
+        abs(bc * a + dc * c),
+        abs(bc * b + dc * d - 1.0),
+    )
+    for defect in defects:
+        if not defect <= UNITARITY_TOL:
+            raise NotUnitary(
+                f"|U^dag U - I| entry {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
+            )
+
+
+def beamsplitter_matrix(params: BeamSplitterParams) -> Matrix2:
+    """The splitter's matrix as nested rows of Python complexes, checked by
+    :func:`check_unitary_2x2`.
+
+    Equal entry for entry to ``beamsplitter(params).matrix.tolist()``, with
+    no numpy on the way; the scheme evaluates its stages on these.
+    """
+    m = _splitter_entries(params)
+    check_unitary_2x2(m)
+    return m
+
+
+def beamsplitter(params: BeamSplitterParams) -> InterferometerUnitary:
+    """Two-mode unitary for the given mixing angle and phase."""
+    return InterferometerUnitary(_splitter_entries(params))
 
 
 def permanent_kernel(m) -> complex:

@@ -28,11 +28,15 @@ The joint success probability reduces to |b1 b2|^2 sin^2(theta)
 cos^2(theta), which is p^2/4 for identical inputs with one-photon
 probability p.
 
-Both stages run on complex scalars: one private step does the work of
-``fock.tensor``, ``optics.apply`` and ``measurement.condition`` for a
-two-mode state of at most two photons, with the same float operations in
-the same order, so every result is bit-identical to the generic engine's.
-That engine stays the reference the tests compare against.
+The circuit runs on complex scalars from the inputs to the herald: one
+private step does the work of ``fock.tensor``, ``optics.apply``,
+``measurement.condition`` and ``fock.normalize`` for a two-mode state of
+at most two photons, with the same float operations in the same order, so
+every result is bit-identical to the generic engine's. The inputs pass
+``StateVector``'s rules (prune, finiteness, no zero state) as scalars,
+each splitter passes a scalar unitarity check, and only the heralded
+output becomes a ``StateVector``. The generic engine stays the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -41,17 +45,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRange, PurityViolated
+from .errors import OutOfRange, PurityViolated, ZeroState
 from .fock import (
     PRUNE_THRESHOLD,
     InputState,
     StateVector,
+    _stored,
+    _unit_amplitudes,
     fidelity,
     fock_state,
-    input_to_state,
-    normalize,
 )
-from .optics import BeamSplitterParams, beamsplitter
+from .optics import BeamSplitterParams, beamsplitter_matrix
 
 #: Residual single-photon amplitude allowed after cancellation.
 CANCEL_TOL = 1e-10
@@ -59,9 +63,9 @@ CANCEL_TOL = 1e-10
 # The stage-2 optimum for every c: a 50/50 splitter with phi2 = 0.
 _STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
 # Stage 2's fixed parts, built once and shared by every run: the 50/50
-# matrix as nested lists, the vacuum ancilla's amplitudes and the |1> target.
-_STAGE_TWO_MATRIX = beamsplitter(_STAGE_TWO_OPTIMUM).matrix.tolist()
-_ANCILLA = {(0,): 1.0 + 0j}
+# matrix, the vacuum ancilla's (|0>, |1>) amplitudes and the |1> target.
+_STAGE_TWO_MATRIX = beamsplitter_matrix(_STAGE_TWO_OPTIMUM)
+_ANCILLA = (1.0 + 0j, 0j)
 _ONE_PHOTON = fock_state((1,))
 _SQRT2 = math.sqrt(2.0)
 
@@ -103,10 +107,10 @@ def stage_one_coefficients(
     in1: InputState, in2: InputState, bs: BeamSplitterParams
 ) -> StageOneCoefficients:
     """Closed-form amplitudes left on the undetected stage-1 mode."""
-    m = beamsplitter(bs).matrix
+    (m00, m01), _ = beamsplitter_matrix(bs)
     c0 = in1.alpha * in2.alpha
-    c1 = in2.alpha * in1.beta * m[0, 0] + in1.alpha * in2.beta * m[0, 1]
-    c2 = math.sqrt(2.0) * in1.beta * in2.beta * m[0, 0] * m[0, 1]
+    c1 = in2.alpha * in1.beta * m00 + in1.alpha * in2.beta * m01
+    c2 = math.sqrt(2.0) * in1.beta * in2.beta * m00 * m01
     return StageOneCoefficients(complex(c0), complex(c1), complex(c2))
 
 
@@ -150,44 +154,62 @@ def stage_two(
         raise PurityViolated(
             f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
         )
-    _, c_state = _normalized({(0,): complex(c.c0), (2,): complex(c.c2)})
-    if c_state is None:
+    _, c_amps = _normalized((complex(c.c0), 0j, complex(c.c2)))
+    if c_amps is None:
         return 0.0, None
-    return _two_mode_step(_ANCILLA, c_state.amps, beamsplitter(bs2).matrix.tolist(), 1)
+    p, amps = _two_mode_step(_ANCILLA, c_amps, beamsplitter_matrix(bs2), 1)
+    return p, _one_mode_state(amps)
 
 
-def _normalized(amps: dict) -> tuple[float, StateVector | None]:
-    # (squared norm, normalized one-mode state) of the amplitudes that
-    # StateVector keeps, or (0.0, None) when none survives. A non-finite
-    # amplitude is kept, so StateVector rejects it.
-    kept = {occ: z for occ, z in amps.items() if not abs(z) < PRUNE_THRESHOLD}
-    if not kept:
+def _input_amplitudes(s: InputState) -> tuple[complex, complex]:
+    # input_to_state's (|0>, |1>) amplitudes as StateVector stores them.
+    amps = _stored(s.alpha), _stored(s.beta)
+    if not any(amps):
+        raise ZeroState("all amplitudes vanished; refusing to store a zero state")
+    return amps
+
+
+def _normalized(amps: tuple) -> tuple[float, list[complex] | None]:
+    # normalize(StateVector(1, amps)) on scalars: (squared norm, unit-norm
+    # amplitudes with 0j where StateVector stores none), or (0.0, None)
+    # when no amplitude survives pruning.
+    kept = [_stored(z) for z in amps]
+    if not any(kept):
         return 0.0, None
-    state, n2 = normalize(StateVector(1, kept))
-    return n2, state
+    scaled, n2 = _unit_amplitudes(kept)
+    return n2, scaled
 
 
-def _two_mode_step(left, right, m, seen: int) -> tuple[float, StateVector | None]:
+def _one_mode_state(amps) -> StateVector | None:
+    if amps is None:
+        return None
+    return StateVector(1, {(n,): z for n, z in enumerate(amps) if z})
+
+
+def _two_mode_step(left, right, m, seen: int) -> tuple[float, list[complex] | None]:
     """Tensor L with R, pass them through U and detect ``seen`` photons on
     mode 1, all on complex scalars.
 
-    ``left`` and ``right`` are the amplitude maps of the one-mode states L
-    and R, with at most one photon in L and at most two photons in all;
-    ``m`` is U's 2x2 matrix as nested lists. Returns (probability, state)
-    as ``measurement.condition`` does. The float operations are those of
-    the generic route (``fock.tensor``, ``optics.apply``, then
+    ``left`` holds the (|0>, |1>) amplitudes of the one-mode state L and
+    ``right`` the (|0>, |1>, |2>) amplitudes of R, with 0j where a
+    StateVector would store nothing and at most two photons in all; ``m``
+    is U's 2x2 matrix as nested rows. Returns (probability, amplitudes of
+    the normalized conditioned mode, or None) as ``measurement.condition``
+    returns (probability, state). The float operations are those of the
+    generic route (``fock.tensor``, ``optics.apply``, then
     ``measurement.condition``) in the same order, so the result is
     bit-identical to it: an amplitude that route never stores is held here
     as 0j, which changes at most the sign of a zero until the projection's
     ``0j +`` clears it.
     """
-    l0, l1 = left.get((0,), 0j), left.get((1,), 0j)
-    r0, r1, r2 = right.get((0,), 0j), right.get((1,), 0j), right.get((2,), 0j)
-    # tensor: StateVector drops the small products.
-    e00, e01, e02, e10, e11 = (
+    l0, l1 = left
+    r0, r1, r2 = right
+    # tensor: StateVector drops the small products. Both factors are stored
+    # amplitudes of unit-norm states, so every product is finite.
+    e00, e01, e02, e10, e11 = [
         z if abs(z) >= PRUNE_THRESHOLD else 0j
         for z in (l0 * r0, l0 * r1, l0 * r2, l1 * r0, l1 * r1)
-    )
+    ]
     (m00, m01), (m10, m11) = m
     # apply: per photon-number sector, inputs summed in tensor's order and
     # weighted by 1/sqrt(n0! n1!), the two-photon permanents written out.
@@ -206,7 +228,7 @@ def _two_mode_step(left, right, m, seen: int) -> tuple[float, StateVector | None
         )
     # condition: the projection adds to 0j; apply's StateVector pruning
     # (which also drops exact zeros) happens in _normalized.
-    return _normalized({(n,): 0j + z for n, z in enumerate(out)})
+    return _normalized([0j + z for z in out])
 
 
 def _degenerate_reasons(
@@ -230,9 +252,10 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     photons. Stage 2 then puts the vacuum ancilla on mode 0 and the
     conditioned mode on mode 1; Lambda' acts on that pair and the stage-2
     detector watches mode 1 for one photon. No state holds more than two
-    photons, so each stage runs on complex scalars (see the module
-    docstring) rather than through the generic ``tensor``, ``apply`` and
-    ``condition`` route, whose results it reproduces bit for bit.
+    photons, so the whole circuit runs on complex scalars (see the module
+    docstring) rather than through the generic ``tensor``, ``apply``,
+    ``condition`` and ``normalize`` route, whose results it reproduces bit
+    for bit; only the heralded output is built as a ``StateVector``.
     p_success is the joint probability of both outcomes.
 
     Lambda' is the analytic optimum, a 50/50 splitter; for any other
@@ -243,16 +266,17 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     params, vacuous = solve_cancellation(in1, in2)
     reasons = _degenerate_reasons(in1, in2, vacuous)
 
-    p1, state1 = _two_mode_step(
-        input_to_state(in1).amps,
-        input_to_state(in2).amps,
-        beamsplitter(params).matrix.tolist(),
+    p1, amps1 = _two_mode_step(
+        _input_amplitudes(in1),
+        (*_input_amplitudes(in2), 0j),
+        beamsplitter_matrix(params),
         0,
     )
-    if state1 is None:
+    if amps1 is None:
         p2, state = 0.0, None
     else:
-        p2, state = _two_mode_step(_ANCILLA, state1.amps, _STAGE_TWO_MATRIX, 1)
+        p2, amps2 = _two_mode_step(_ANCILLA, amps1, _STAGE_TWO_MATRIX, 1)
+        state = _one_mode_state(amps2)
     fid = 0.0 if state is None else fidelity(state, _ONE_PHOTON)
     return SchemeResult(
         lambda1=params,

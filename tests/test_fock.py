@@ -113,6 +113,21 @@ class TestInputs:
     def test_p_property(self):
         assert abs(InputState(0.6, 0.8j).p - 0.64) < 1e-15
 
+    @pytest.mark.parametrize("alpha, beta", [(0.1, 0.1), (1.0, 0.5), (0.0, 0.0)])
+    def test_input_state_rejects_unnormalized(self, alpha, beta):
+        with pytest.raises(NotNormalized):
+            InputState(alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [(float("nan"), 1.0), (1.0, complex(0, float("inf")))])
+    def test_input_state_rejects_non_finite(self, alpha, beta):
+        with pytest.raises(ValueError):
+            InputState(alpha, beta)
+
+    def test_input_state_stores_what_it_validated(self):
+        s = InputState("0.6", 0.8)
+        assert (s.alpha, s.beta) == (0.6 + 0j, 0.8 + 0j)
+        assert type(s.alpha) is type(s.beta) is complex
+
 
 class TestTensor:
     def test_vacuum_pair(self):

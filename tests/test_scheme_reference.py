@@ -4,7 +4,8 @@
 complex scalars. The reference below rebuilds the same circuit from the
 public generic engine (``tensor``, ``apply``, ``condition``), and every
 result must match it exactly, compared by ``repr`` so that the last bit
-and the sign of a zero count.
+and the sign of a zero count. The last tests keep the scalar path scalar:
+no numpy splitter and one ``StateVector``, the heralded output, per call.
 """
 
 import math
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from photonpurify import (
     BeamSplitterParams,
+    InterferometerUnitary,
+    NotUnitary,
     StageOneCoefficients,
     StateVector,
     apply,
@@ -34,6 +37,7 @@ from photonpurify import (
     vacuum,
 )
 from photonpurify.fock import PRUNE_THRESHOLD
+from photonpurify.optics import beamsplitter_matrix, check_unitary_2x2
 from photonpurify.scheme import (
     CANCELLATION_VACUOUS,
     NO_PHOTON_PAIR,
@@ -172,3 +176,89 @@ def test_stage_two_matches_reference():
 )
 def test_stage_two_matches_reference_at_the_prune_threshold(theta, c0, c2):
     assert_same_stage_two(StageOneCoefficients(c0, 0.0, c2), BeamSplitterParams(theta, 0.4))
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Count StateVector and InterferometerUnitary constructions."""
+    counts = {"StateVector": 0, "InterferometerUnitary": 0}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting("StateVector", StateVector.__post_init__))
+    monkeypatch.setattr(
+        InterferometerUnitary,
+        "__init__",
+        counting("InterferometerUnitary", InterferometerUnitary.__init__),
+    )
+    return counts
+
+
+def test_scalar_path_builds_only_the_heralded_state(constructions):
+    phases = (-math.pi, 0.0, 1.3, math.pi)
+    pairs = [
+        (input_from_probability(p1, ph1), input_from_probability(p2, ph2))
+        for p1 in [*grid(6), 1e-20, 1.0 - 1e-12]
+        for p2 in grid(6)
+        for ph1 in phases
+        for ph2 in phases
+    ]
+    heralded = 0
+    for in1, in2 in pairs:
+        constructions["StateVector"] = 0
+        result = run_scheme(in1, in2)
+        expected = 0 if result.output_state is None else 1
+        heralded += expected
+        assert constructions == {"StateVector": expected, "InterferometerUnitary": 0}
+    assert 0 < heralded < len(pairs)
+
+    rng = np.random.default_rng(4)
+    heralded = 0
+    for i in range(200):
+        c0, c2 = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-15, 0) for _ in range(2))
+        bs2 = BeamSplitterParams((0.0, math.pi / 4, math.pi / 2, 0.3)[i % 4], rng.uniform(-math.pi, math.pi))
+        constructions["StateVector"] = 0
+        _, state = stage_two(StageOneCoefficients(c0, 0j, c2), bs2)
+        expected = 0 if state is None else 1
+        heralded += expected
+        assert constructions == {"StateVector": expected, "InterferometerUnitary": 0}
+    assert 0 < heralded < 200
+
+
+def test_scalar_splitter_matches_numpy_splitter():
+    rng = np.random.default_rng(5)
+    thetas = (0.0, math.pi / 4, math.pi / 2, rng.uniform(0, math.pi / 2))
+    phis = (-math.pi, 0.0, math.pi, rng.uniform(-math.pi, math.pi))
+    for theta in thetas:
+        for phi in phis:
+            params = BeamSplitterParams(theta, phi)
+            scalar = [list(row) for row in beamsplitter_matrix(params)]
+            assert repr(scalar) == repr(beamsplitter(params).matrix.tolist()), params
+            assert all(type(z) is complex for row in scalar for z in row)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1.0, 0.0], [0.0, 1.0 + 1e-9]],
+        [[1.0, 1e-9], [0.0, 1.0]],
+        [[0.6, 0.8], [0.8, 0.6]],
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, complex(0.0, math.nan)]],
+    ],
+)
+def test_scalar_unitarity_check_rejects_what_the_numpy_check_rejects(m):
+    with pytest.raises(NotUnitary):
+        InterferometerUnitary(m)
+    with pytest.raises(NotUnitary):
+        check_unitary_2x2([[complex(z) for z in row] for row in m])
+
+
+def test_scalar_unitarity_check_accepts_within_tolerance():
+    check_unitary_2x2([[1.0 + 0j, 0j], [0j, 1.0 + 4e-11]])
+    check_unitary_2x2(beamsplitter_matrix(BeamSplitterParams(0.7, -2.0)))
