@@ -32,8 +32,9 @@ The circuit runs on complex scalars from the inputs to the herald: one
 private step does the work of ``fock.tensor``, ``optics.apply``,
 ``measurement.condition`` and ``fock.normalize`` for a two-mode state of
 at most two photons, with the same float operations in the same order, so
-every result is bit-identical to the generic engine's. The inputs pass
-``StateVector``'s rules (prune, finiteness, no zero state) as scalars,
+every result is bit-identical to the generic engine's. Every amplitude
+passes ``StateVector``'s prune and finiteness rule as a scalar (an
+``InputState`` is already finite and of unit norm, so no input vanishes),
 each splitter passes a scalar unitarity check, and only the heralded
 output becomes a ``StateVector``. The generic engine stays the reference
 the tests compare against.
@@ -45,9 +46,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRange, PurityViolated, ZeroState
+from .errors import OutOfRange, PurityViolated
 from .fock import (
-    PRUNE_THRESHOLD,
     InputState,
     StateVector,
     _stored,
@@ -163,10 +163,9 @@ def stage_two(
 
 def _input_amplitudes(s: InputState) -> tuple[complex, complex]:
     # input_to_state's (|0>, |1>) amplitudes as StateVector stores them.
-    amps = _stored(s.alpha), _stored(s.beta)
-    if not any(amps):
-        raise ZeroState("all amplitudes vanished; refusing to store a zero state")
-    return amps
+    # InputState holds finite amplitudes of unit norm, so one of them
+    # always survives the prune.
+    return _stored(s.alpha), _stored(s.beta)
 
 
 def _normalized(amps: tuple) -> tuple[float, list[complex] | None]:
@@ -204,11 +203,9 @@ def _two_mode_step(left, right, m, seen: int) -> tuple[float, list[complex] | No
     """
     l0, l1 = left
     r0, r1, r2 = right
-    # tensor: StateVector drops the small products. Both factors are stored
-    # amplitudes of unit-norm states, so every product is finite.
+    # tensor: StateVector drops the small products.
     e00, e01, e02, e10, e11 = [
-        z if abs(z) >= PRUNE_THRESHOLD else 0j
-        for z in (l0 * r0, l0 * r1, l0 * r2, l1 * r0, l1 * r1)
+        _stored(z) for z in (l0 * r0, l0 * r1, l0 * r2, l1 * r0, l1 * r1)
     ]
     (m00, m01), (m10, m11) = m
     # apply: per photon-number sector, inputs summed in tensor's order and
