@@ -42,9 +42,9 @@ CSV_HEADER = ",".join(_NUMERIC_FIELDS + ("degenerate",))
 
 #: Most points one sweep may walk, per axis and over the whole grid; a
 #: config past it is a config error. Rows stay in memory until the sweep
-#: ends. A 200,000-point CSV sweep took about 0.7 KB of peak RSS and 37 us
-#: per point (CPython 3.11, x86-64 Xeon), so a sweep at the cap peaks near
-#: 700 MB and runs for about 40 seconds.
+#: ends. A 200,000-point CSV sweep took about 0.7 KB of peak RSS and 37 to
+#: 47 us per point (CPython 3.11, shared 2-vCPU x86-64 Xeon), so a sweep at
+#: the cap peaks near 700 MB and runs for under a minute.
 MAX_GRID_POINTS = 1_000_000
 
 #: Output formats of ``run`` and of ``sweep``.
