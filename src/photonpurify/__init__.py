@@ -10,6 +10,7 @@ checks itself against a permanent-free oracle.
 """
 
 from .errors import (
+    AmplitudeOverflow,
     ConfigInvalid,
     IndexOutOfRange,
     ModeMismatch,
@@ -61,12 +62,13 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "7.2.0"
+__version__ = "7.3.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"
 
 __all__ = [
+    "AmplitudeOverflow",
     "BACKEND",
     "BeamSplitterParams",
     "CheckResult",

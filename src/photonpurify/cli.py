@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .errors import ConfigInvalid, OutOfRange
 from .sweep import (
     OUTPUT_FORMATS,
@@ -41,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="photon-purify",
         description="Heralded single-photon purification: solve, simulate, sweep, verify.",
     )
+    parser.add_argument("--version", action="version", version=f"photon-purify {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="solve and simulate one input pair")

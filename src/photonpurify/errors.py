@@ -17,6 +17,10 @@ class ZeroState(ValueError):
     """Every amplitude vanished; the zero vector is not a quantum state."""
 
 
+class AmplitudeOverflow(ValueError):
+    """An amplitude is too large for its squared magnitude to be a float."""
+
+
 class NotSquare(ValueError):
     """Permanent requested for a non-square matrix."""
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Iterator
 
 import numpy as np
@@ -73,6 +75,7 @@ def substitute(poly: CreationPolynomial, u) -> CreationPolynomial:
     if m.shape[0] != poly.modes:
         raise ModeMismatch(f"matrix on {m.shape[0]} modes, polynomial on {poly.modes}")
     modes = poly.modes
+    columns = m.T.tolist()
     zero = (0,) * modes
     out: dict[Exponents, complex] = {}
     for exponents, coeff in poly.terms.items():
@@ -80,7 +83,7 @@ def substitute(poly: CreationPolynomial, u) -> CreationPolynomial:
         for j, power in enumerate(exponents):
             if power == 0:
                 continue
-            factor = _column_power(m[:, j], power)
+            factor = _column_power(columns[j], power)
             partial = _multiply(partial, factor)
         for exp, c in partial.items():
             out[exp] = out.get(exp, 0j) + c
@@ -104,20 +107,29 @@ def _compositions(total: int, parts: int) -> Iterator[Exponents]:
             yield (head,) + rest
 
 
-def _column_power(column: np.ndarray, power: int) -> dict[Exponents, complex]:
-    # (sum_i c_i a_i^dag)^power expanded by the multinomial theorem. The
-    # multinomial coefficient stays an exact integer before floats enter.
-    modes = len(column)
+@lru_cache(maxsize=None)
+def _multinomials(power: int, modes: int) -> tuple[tuple[Exponents, int], ...]:
+    # (composition, multinomial coefficient) pairs of (x_1 + ... + x_modes)^power,
+    # exact integers, computed once per (power, modes).
     base = math.factorial(power)
-    out: dict[Exponents, complex] = {}
+    table = []
     for split in _compositions(power, modes):
         multinomial = base
         for e_i in split:
             multinomial //= math.factorial(e_i)
+        table.append((split, multinomial))
+    return tuple(table)
+
+
+def _column_power(column: list[complex], power: int) -> dict[Exponents, complex]:
+    # (sum_i c_i a_i^dag)^power expanded by the multinomial theorem. The
+    # multinomial coefficient stays an exact integer before floats enter.
+    out: dict[Exponents, complex] = {}
+    for split, multinomial in _multinomials(power, len(column)):
         coeff = complex(multinomial)
         for c_i, e_i in zip(column, split):
             if e_i:
-                coeff *= complex(c_i) ** e_i
+                coeff *= c_i ** e_i
         if coeff != 0j:
             out[split] = coeff
     return out
@@ -129,6 +141,6 @@ def _multiply(
     out: dict[Exponents, complex] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
+            key = tuple(map(add, ea, eb))
             out[key] = out.get(key, 0j) + ca * cb
     return out

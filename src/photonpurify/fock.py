@@ -32,7 +32,7 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ModeMismatch, NotNormalized, OutOfRange, ZeroState
+from .errors import AmplitudeOverflow, ModeMismatch, NotNormalized, OutOfRange, ZeroState
 
 Occupation = tuple[int, ...]
 
@@ -102,6 +102,7 @@ class InputState:
 
     Raises:
         ValueError: if an amplitude is not finite.
+        AmplitudeOverflow: if an amplitude is too large to square.
         NotNormalized: if |alpha|^2 + |beta|^2 is not 1 within NORM_TOL.
     """
 
@@ -112,7 +113,10 @@ class InputState:
         a, b = complex(self.alpha), complex(self.beta)
         if not (cmath.isfinite(a) and cmath.isfinite(b)):
             raise ValueError("input amplitudes must be finite")
-        n2 = abs(a) ** 2 + abs(b) ** 2
+        try:
+            n2 = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:
+            raise _overflow((a, b)) from None
         if abs(n2 - 1.0) > NORM_TOL:
             raise NotNormalized(f"|alpha|^2 + |beta|^2 = {n2!r}, expected 1 within {NORM_TOL}")
         object.__setattr__(self, "alpha", a)
@@ -216,8 +220,21 @@ def _stored(z: complex) -> complex:
 
 def _squared_norm(amps) -> float:
     # Python's sum() in the amplitudes' order; a pruned entry held as 0j
-    # adds an exact zero, so it leaves the sum's bits unchanged.
-    return sum(abs(a) ** 2 for a in amps)
+    # adds an exact zero, so it leaves the sum's bits unchanged. A float
+    # ``** 2`` raises OverflowError instead of giving inf, and ``amps`` is
+    # read a second time only to name the amplitude in the error.
+    try:
+        return sum(abs(a) ** 2 for a in amps)
+    except OverflowError:
+        raise _overflow(amps) from None
+
+
+def _overflow(amps) -> AmplitudeOverflow:
+    # The error for amplitudes whose squares overflowed, naming the largest.
+    peak = max(math.hypot(a.real, a.imag) for a in amps)
+    return AmplitudeOverflow(
+        f"amplitude of magnitude {peak:.3e} overflows its square (limit about 1.34e154)"
+    )
 
 
 def _unit_amplitudes(amps) -> tuple[list[complex], float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, ModeMismatch, OutOfRange
-from .fock import StateVector, normalize
+from .fock import StateVector, _overflow, normalize
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,10 @@ def outcome_distribution(s: StateVector, modes: tuple[int, ...]) -> dict[tuple[i
             raise ModeMismatch(f"mode {m} listed twice")
         seen.add(m)
     dist: dict[tuple[int, ...], float] = {}
-    for occ, amp in s.amps.items():
-        pattern = tuple(occ[m] for m in modes)
-        dist[pattern] = dist.get(pattern, 0.0) + abs(amp) ** 2
+    try:
+        for occ, amp in s.amps.items():
+            pattern = tuple(occ[m] for m in modes)
+            dist[pattern] = dist.get(pattern, 0.0) + abs(amp) ** 2
+    except OverflowError:
+        raise _overflow(s.amps.values()) from None
     return dist

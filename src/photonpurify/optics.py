@@ -28,7 +28,12 @@ column-repeated submatrices:
 
 where U[n', n] repeats row i n'_i times and column j n_j times. The
 permanent itself is evaluated by a pure-Python Ryser kernel with direct
-formulas below dimension 3. The scheme calls neither ``apply`` nor
+formulas below dimension 3. All of it runs on Python complexes: ``apply``
+reads the unitary once per call with ``tolist``, writes the zero- to
+two-photon permanents out on those scalars, and hands each larger
+submatrix to :func:`permanent_kernel` as an ndarray; the kernel reads it
+once with ``tolist`` and walks a Gray-code schedule cached per dimension.
+The scheme calls neither ``apply`` nor
 ``beamsplitter``: its states hold at most two photons, and ``scheme``
 evaluates them on scalars with the same arithmetic, taking each splitter
 from :func:`beamsplitter_matrix` with a scalar unitarity check.
@@ -42,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,40 +160,56 @@ def beamsplitter(params: BeamSplitterParams) -> InterferometerUnitary:
     return InterferometerUnitary(_splitter_entries(params))
 
 
-def permanent_kernel(m) -> complex:
-    """Ryser permanent of a square ndarray.
+@lru_cache(maxsize=None)
+def _gray_schedule(n: int) -> tuple[tuple[int, bool, bool], ...]:
+    """Ryser's column subsets of an n x n matrix in Gray-code order.
 
-    per(A) = sum over non-empty column subsets S of
-    (-1)^(n-|S|) * prod_i sum_{j in S} A[i, j]; subsets are visited in
-    Gray-code order so each step updates the row sums by one column.
+    Step k (k = 1 .. 2^n - 1) is ``(column, add, negate)``: the column
+    that enters (``add``) or leaves the subset, and whether the subset's
+    product is subtracted, (-1)^(n - |S|) = -1. Computed once per
+    dimension, like ``fock.sector_occupations``.
     """
-    n = m.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    # column-major copy; plain lists beat ndarray scalar indexing here
-    cols = [[complex(m[i, j]) for i in range(n)] for j in range(n)]
-    sums = [0j] * n
-    total = 0j
+    steps = []
     old_gray = 0
     for k in range(1, 1 << n):
         gray = k ^ (k >> 1)
         bit = gray ^ old_gray
-        j = bit.bit_length() - 1
+        steps.append((bit.bit_length() - 1, bool(gray & bit), bool((n - gray.bit_count()) & 1)))
+        old_gray = gray
+    return tuple(steps)
+
+
+def permanent_kernel(m: np.ndarray) -> complex:
+    """Ryser permanent of a square ndarray.
+
+    per(A) = sum over non-empty column subsets S of
+    (-1)^(n-|S|) * prod_i sum_{j in S} A[i, j]; subsets are visited in
+    the cached Gray-code order of :func:`_gray_schedule`, so each step
+    updates the row sums by one column. The matrix is read once, with one
+    ``tolist``, and the sums run on Python complexes.
+    """
+    n = m.shape[0]
+    if n == 0:
+        return 1.0 + 0j
+    cols = m.T.tolist()
+    sums = [0j] * n
+    rows = range(n)
+    total = 0j
+    for j, add, negate in _gray_schedule(n):
         col = cols[j]
-        if gray & bit:
-            for i in range(n):
+        if add:
+            for i in rows:
                 sums[i] += col[i]
         else:
-            for i in range(n):
+            for i in rows:
                 sums[i] -= col[i]
         prod = 1.0 + 0j
         for v in sums:
             prod *= v
-        if (n - gray.bit_count()) & 1:
+        if negate:
             total -= prod
         else:
             total += prod
-        old_gray = gray
     return total
 
 
@@ -202,25 +224,28 @@ def permanent(m) -> complex:
         raise NotSquare(f"permanent needs a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
     if n < 3:
-        return _repeated_permanent(arr, list(range(n)), list(range(n)))
+        return _repeated_permanent(arr, arr.tolist(), list(range(n)), list(range(n)))
     return permanent_kernel(arr)
 
 
-def _repeated_permanent(matrix: np.ndarray, rows: list[int], cols: list[int]) -> complex:
-    # Transition permanent with rows/cols given as repeated mode indices.
-    # Small cases read scalars directly; building submatrices for 0-2
-    # photons would dominate the hot path.
+def _repeated_permanent(
+    matrix: np.ndarray, entries: list[list[complex]], rows: list[int], cols: list[int]
+) -> complex:
+    # Transition permanent with rows/cols given as repeated mode indices;
+    # ``entries`` is ``matrix.tolist()``. Zero to two photons are written
+    # out on those Python complexes: building submatrices for them would
+    # dominate the hot path. The kernel is looked up as a module global on
+    # each call, so a rebinding of ``permanent_kernel`` sees every call.
     k = len(rows)
     if k == 0:
         return 1.0 + 0j
     if k == 1:
-        return complex(matrix[rows[0], cols[0]])
+        return entries[rows[0]][cols[0]]
     if k == 2:
-        return complex(
-            matrix[rows[0], cols[0]] * matrix[rows[1], cols[1]]
-            + matrix[rows[0], cols[1]] * matrix[rows[1], cols[0]]
-        )
-    return permanent_kernel(matrix[np.ix_(rows, cols)])
+        r0, r1 = entries[rows[0]], entries[rows[1]]
+        c0, c1 = cols
+        return r0[c0] * r1[c1] + r0[c1] * r1[c0]
+    return permanent_kernel(matrix.take(rows, 0).take(cols, 1))
 
 
 def _occupation_factorial(occ) -> int:
@@ -260,17 +285,18 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
         by_sector.setdefault(sum(occ), []).append((occ, amp))
 
     matrix = u.matrix
+    entries = matrix.tolist()
     out: dict[tuple[int, ...], complex] = {}
-    for photons, entries in by_sector.items():
+    for photons, members in by_sector.items():
         inputs = [
             (_repeat_modes(occ), amp / math.sqrt(_occupation_factorial(occ)))
-            for occ, amp in entries
+            for occ, amp in members
         ]
         for out_occ in sector_occupations(photons, s.modes):
             rows = _repeat_modes(out_occ)
             acc = 0j
             for cols, weighted_amp in inputs:
-                acc += weighted_amp * _repeated_permanent(matrix, rows, cols)
+                acc += weighted_amp * _repeated_permanent(matrix, entries, rows, cols)
             if acc != 0j:
                 out[out_occ] = acc / math.sqrt(_occupation_factorial(out_occ))
     return StateVector(s.modes, out)

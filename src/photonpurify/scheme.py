@@ -50,6 +50,7 @@ from .errors import OutOfRange, PurityViolated
 from .fock import (
     InputState,
     StateVector,
+    _overflow,
     _stored,
     _unit_amplitudes,
     fidelity,
@@ -85,7 +86,10 @@ class StageOneCoefficients:
 
     @property
     def norm_squared(self) -> float:
-        return abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
+        try:
+            return abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
+        except OverflowError:
+            raise _overflow((self.c0, self.c1, self.c2)) from None
 
 
 @dataclass(frozen=True)

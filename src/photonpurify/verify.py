@@ -49,11 +49,12 @@ def permanent_naive(m) -> complex:
     """Permutation-sum permanent, the slow cross-check for the kernel."""
     arr = np.asarray(m, dtype=np.complex128)
     n = arr.shape[0]
+    rows = arr.tolist()
     total = 0j
     for perm in itertools.permutations(range(n)):
         prod = 1.0 + 0j
         for i, j in enumerate(perm):
-            prod *= arr[i, j]
+            prod *= rows[i][j]
         total += prod
     return total
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from photonpurify import __version__
 from photonpurify.cli import main
 from photonpurify.sweep import CSV_HEADER
 
@@ -293,6 +294,12 @@ def test_undecodable_config_is_config_error(capsys, tmp_path, command, content):
     code, _, err = run_cli(capsys, command, "--config", str(cfg))
     assert code == 2
     assert "config error" in err
+
+
+def test_version_flag(capsys):
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0
+    assert out == f"photon-purify {__version__}\n"
 
 
 class TestModuleEntry:

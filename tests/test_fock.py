@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpurify import (
+    AmplitudeOverflow,
     InputState,
     ModeMismatch,
     NotNormalized,
@@ -53,6 +54,10 @@ class TestStateVector:
             s.amps[(0,)] = 1.0
         given_amps[(0,)] = 0.0
         assert s.amplitude((0,)) == 0.6
+
+    def test_norm_squared_of_huge_amplitude_is_package_error(self):
+        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
+            StateVector(1, {(0,): 1e200}).norm_squared
 
     def test_rejects_wrong_occupation_length(self):
         with pytest.raises(ValueError):
@@ -122,6 +127,10 @@ class TestInputs:
     def test_input_state_rejects_non_finite(self, alpha, beta):
         with pytest.raises(ValueError):
             InputState(alpha, beta)
+
+    def test_input_state_huge_amplitude_is_package_error(self):
+        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
+            InputState(1e200, 0)
 
     def test_input_state_stores_what_it_validated(self):
         s = InputState("0.6", 0.8)
@@ -218,6 +227,13 @@ class TestNormalize:
         amps = {occ: complex(*rng.normal(size=2)) for occ in sector_occupations(2, 2)}
         s, _ = normalize(StateVector(2, amps))
         assert abs(s.norm_squared - 1.0) < 1e-12
+
+    def test_huge_amplitude_is_package_error(self):
+        # A float ``** 2`` past about 1.34e154 raises OverflowError; the
+        # caller sees a ValueError that names the magnitude instead.
+        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200") as info:
+            normalize(StateVector(1, {(0,): 1e200}))
+        assert isinstance(info.value, ValueError)
 
 
 class TestSectors:

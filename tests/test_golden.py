@@ -1,4 +1,5 @@
-"""Golden output: sweep and plot bytes pinned by sha256 across builds.
+"""Golden output: sweep and plot bytes, and the generic engine's reprs,
+pinned by sha256 across builds.
 
 Repeated runs of one build are compared elsewhere; these pins compare a
 build against the bytes recorded before any refactor or optimisation, so
@@ -8,9 +9,21 @@ a change that drifts a single last digit of any row fails here.
 import hashlib
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
+from photonpurify import (
+    InterferometerUnitary,
+    StateVector,
+    apply,
+    permanent,
+    permanent_naive,
+    sector_occupations,
+    state_to_polynomial,
+    substitute,
+)
 from photonpurify.cli import main
 
 DEFAULT_SWEEP_SHA256 = {
@@ -55,3 +68,82 @@ def test_plot_svg_bytes(tmp_path):
     args = ["sweep", "--p1", "0.5", "--p2", "0.5", "--out", str(out), "--plot", str(plot)]
     assert main(args) == 0
     assert sha256(plot) == PLOT_SVG_SHA256
+
+
+# The generic engine (``apply``, ``permanent``, the permutation-sum
+# permanent and ``substitute``) on seeded inputs. Inputs are built with
+# Python's ``random`` and only +, -, *, / and sqrt, which IEEE-754 rounds
+# correctly, so the pin rests on the engine's own arithmetic.
+
+GENERIC_ENGINE_SHA256 = "73805199b305bbd1155472ab090211241cb7bdcdcfb5bb9e1f85fafe34e502a6"
+
+
+def _random_complex(rng: random.Random) -> complex:
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+
+def _su2(rng: random.Random) -> list[list[complex]]:
+    a, b = _random_complex(rng), _random_complex(rng)
+    r = math.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    a, b = complex(a.real / r, a.imag / r), complex(b.real / r, b.imag / r)
+    return [[a, -b.conjugate()], [b, a.conjugate()]]
+
+
+def _on_modes(block, first: int) -> list[list[complex]]:
+    # A 2x2 block acting on modes (first, first + 1) of three.
+    m = [[1.0 + 0j if i == j else 0j for j in range(3)] for i in range(3)]
+    for i in range(2):
+        for j in range(2):
+            m[first + i][first + j] = block[i][j]
+    return m
+
+
+def _matmul3(a, b) -> list[list[complex]]:
+    return [
+        [a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _golden_unitary(rng: random.Random, modes: int) -> InterferometerUnitary:
+    if modes == 1:
+        z = _random_complex(rng)
+        r = math.sqrt(z.real * z.real + z.imag * z.imag)
+        return InterferometerUnitary([[complex(z.real / r, z.imag / r)]])
+    if modes == 2:
+        return InterferometerUnitary(_su2(rng))
+    m = _on_modes(_su2(rng), 0)
+    m = _matmul3(m, _on_modes(_su2(rng), 1))
+    m = _matmul3(m, _on_modes(_su2(rng), 0))
+    return InterferometerUnitary(m)
+
+
+def _golden_state(rng: random.Random, modes: int, max_photons: int) -> StateVector:
+    amps = {}
+    for photons in range(max_photons + 1):
+        for occ in sector_occupations(photons, modes):
+            amps[occ] = _random_complex(rng)
+    return StateVector(modes, amps)
+
+
+def generic_engine_lines() -> list[str]:
+    rng = random.Random(20261018)
+    lines = []
+    for modes in (1, 2, 3):
+        for max_photons in range(5):
+            for _ in range(3):
+                u = _golden_unitary(rng, modes)
+                s = _golden_state(rng, modes, max_photons)
+                lines.append(repr(apply(u, s)))
+                lines.append(repr(substitute(state_to_polynomial(s), u)))
+    for dim in range(1, 7):
+        for _ in range(4):
+            m = np.array([[_random_complex(rng) for _ in range(dim)] for _ in range(dim)])
+            lines.append(repr(permanent(m)))
+            lines.append(repr(complex(permanent_naive(m))))
+    return lines
+
+
+def test_generic_engine_reprs():
+    digest = hashlib.sha256("\n".join(generic_engine_lines()).encode()).hexdigest()
+    assert digest == GENERIC_ENGINE_SHA256

@@ -18,7 +18,7 @@ from photonpurify import (
     tensor,
     vacuum,
 )
-from photonpurify.errors import IndexOutOfRange, OutOfRange
+from photonpurify.errors import AmplitudeOverflow, IndexOutOfRange, OutOfRange
 from photonpurify.verify import random_state
 
 
@@ -127,3 +127,7 @@ class TestOutcomeDistribution:
             outcome_distribution(s, (0, 0))
         with pytest.raises(IndexOutOfRange):
             outcome_distribution(s, (4,))
+
+    def test_huge_amplitude_is_package_error(self):
+        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
+            outcome_distribution(StateVector(1, {(0,): 1e200}), (0,))

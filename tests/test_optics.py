@@ -16,8 +16,10 @@ from photonpurify import (
     fock_state,
     normalize,
     permanent,
+    sector_occupations,
     vacuum,
 )
+from photonpurify import optics
 from photonpurify.optics import permanent_kernel
 from photonpurify.verify import amplitude_distance, permanent_naive, random_state, random_unitary
 
@@ -204,6 +206,27 @@ class TestApply:
             assert abs(out.amplitude((0, 2)) - two * m[1, 0] * m[1, 1]) < 1e-14
             per = m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]
             assert abs(out.amplitude((1, 1)) - b1 * b2 * per) < 1e-14
+
+    @pytest.mark.parametrize("modes, photons", [(2, 3), (3, 4)])
+    def test_kernel_sees_every_transition_of_three_or_more_photons(self, monkeypatch, modes, photons):
+        """Each transition of at least three photons calls the module-level
+        kernel once, with a k x k ndarray: per-dimension kernel counts taken
+        by rebinding ``optics.permanent_kernel`` rely on this."""
+        seen = []
+
+        def counting_kernel(m):
+            seen.append((type(m), m.shape))
+            return permanent_kernel(m)
+
+        monkeypatch.setattr(optics, "permanent_kernel", counting_kernel)
+        s = random_state(np.random.default_rng(43), modes, photons)
+        apply(random_unitary(np.random.default_rng(47), modes), s)
+        expected = [
+            (np.ndarray, (k, k))
+            for k in range(3, photons + 1)
+            for _ in range(len(sector_occupations(k, modes)) ** 2)
+        ]
+        assert sorted(seen, key=lambda call: call[1]) == expected
 
     def test_unitarity_perturbation_detected(self):
         u = random_unitary(np.random.default_rng(41), 3)

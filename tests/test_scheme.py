@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from photonpurify import (
+    AmplitudeOverflow,
     BeamSplitterParams,
     OutOfRange,
     PurityViolated,
@@ -68,6 +69,11 @@ class TestStageOneCoefficients:
             scale = math.sqrt(c.norm_squared)
             for n, coeff in enumerate((c.c0, c.c1, c.c2)):
                 assert abs(res.state.amplitude((n,)) - coeff / scale) < 1e-12
+
+
+    def test_norm_squared_of_huge_coefficients_is_package_error(self):
+        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
+            StageOneCoefficients(1e200, 0, 0).norm_squared
 
 
 class TestSolveCancellation:
@@ -141,6 +147,10 @@ class TestStageTwo:
         prob, state = stage_two(StageOneCoefficients(9.9e-15, 0, 9.9e-15), BeamSplitterParams(math.pi / 4, 0))
         assert prob == 0.0
         assert state is None
+
+    def test_huge_coefficients_are_package_error(self):
+        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
+            stage_two(StageOneCoefficients(1e200, 0, 1e200), BeamSplitterParams(0.3, 0.4))
 
     def test_balanced_coefficients_give_one_sixth(self):
         c = StageOneCoefficients(0.5, 0.0, -math.sqrt(2) / 4)
