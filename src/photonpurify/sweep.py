@@ -4,6 +4,9 @@ Grid semantics: four ranges (p1, p2, phase1, phase2) walked in row-major
 order with p1 outermost and phase2 innermost. ``diagonal`` collapses the
 grid to identical inputs, iterating (p1, phase1) and copying them to the
 second input; that is how the closed-form success curve is traced.
+``sweep_rows`` builds each input once per (p, phase) pair of its own
+side's axes, not once per grid point, and the diagonal hands the scheme
+the same input object twice.
 
 CSV output is byte-deterministic: fixed column order, fixed number
 formatting (12 significant digits, lowercase scientific below 1e-4, bare
@@ -15,7 +18,6 @@ order regardless.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -42,8 +44,8 @@ CSV_HEADER = ",".join(_NUMERIC_FIELDS + ("degenerate",))
 
 #: Most points one sweep may walk, per axis and over the whole grid; a
 #: config past it is a config error. Rows stay in memory until the sweep
-#: ends. A 200,000-point CSV sweep took about 0.7 KB of peak RSS and 37 to
-#: 47 us per point (CPython 3.11, shared 2-vCPU x86-64 Xeon), so a sweep at
+#: ends. A 200,000-point CSV sweep took about 0.72 KB of peak RSS and 37 to
+#: 48 us per point (CPython 3.11, shared 2-vCPU x86-64 Xeon), so a sweep at
 #: the cap peaks near 700 MB and runs for under a minute.
 MAX_GRID_POINTS = 1_000_000
 
@@ -129,7 +131,8 @@ class SweepConfig:
 
 
 def grid_points(cfg: SweepConfig) -> Iterator[tuple[float, float, float, float]]:
-    """Row-major grid order; the diagonal copies input 1 onto input 2."""
+    """Row-major grid order, the order of ``sweep_rows``' rows; the
+    diagonal copies input 1 onto input 2."""
     if cfg.diagonal:
         for p, ph in itertools.product(cfg.p1.points(), cfg.phase1.points()):
             yield p, p, ph, ph
@@ -164,10 +167,27 @@ def result_row(
 
 
 def sweep_rows(cfg: SweepConfig) -> list[dict]:
-    """Evaluate the whole grid in deterministic order."""
+    """Evaluate the whole grid in ``grid_points`` order.
+
+    Each side's inputs are built once per (p, phase) pair of its own axes
+    and looked up by axis position; on the diagonal input 2 is input 1.
+    """
+    p1s, h1s = cfg.p1.points(), cfg.phase1.points()
+    in1 = [[input_from_probability(p, h) for h in h1s] for p in p1s]
+    if cfg.diagonal:
+        return [
+            result_row(p, p, h, h, run_scheme(s, s))
+            for p, states in zip(p1s, in1)
+            for h, s in zip(h1s, states)
+        ]
+    p2s, h2s = cfg.p2.points(), cfg.phase2.points()
+    in2 = [[input_from_probability(p, h) for h in h2s] for p in p2s]
     return [
-        result_row(p1, p2, ph1, ph2, run_point(p1, p2, ph1, ph2))
-        for p1, p2, ph1, ph2 in grid_points(cfg)
+        result_row(p1, p2, h1, h2, run_scheme(s1, s2))
+        for p1, states1 in zip(p1s, in1)
+        for p2, states2 in zip(p2s, in2)
+        for h1, s1 in zip(h1s, states1)
+        for h2, s2 in zip(h2s, states2)
     ]
 
 
@@ -181,14 +201,43 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+class _AxisCells(dict):
+    """``fmt`` of each axis value, computed on first use. ``fmt`` depends
+    on the value alone, so equal keys (0.0 and -0.0 too) share a cell."""
+
+    def __missing__(self, x: float) -> str:
+        cell = self[x] = fmt(float(x))
+        return cell
+
+
 def rows_to_csv(rows: list[dict]) -> str:
+    axis = _AxisCells()
     lines = [CSV_HEADER]
     for row in rows:
-        cells = [fmt(float(row[name])) for name in _NUMERIC_FIELDS]
-        cells.append("true" if row["degenerate"] else "false")
-        lines.append(",".join(cells))
+        lines.append(
+            f"{axis[row['p1']]},{axis[row['p2']]},{axis[row['phase1']]},{axis[row['phase2']]},"
+            f"{fmt(float(row['theta']))},{fmt(float(row['phi']))},"
+            f"{fmt(float(row['p_success']))},{fmt(float(row['fidelity']))},"
+            f"{'true' if row['degenerate'] else 'false'}"
+        )
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+    """``json.dumps(rows, indent=2) + "\\n"``, byte for byte, for rows as
+    ``result_row`` builds them: its keys in its order, floats and a bool."""
+    if not rows:
+        return "[]\n"
+    r = float.__repr__
+    body = ",\n".join(
+        f'  {{\n    "p1": {r(row["p1"])},\n    "p2": {r(row["p2"])},\n'
+        f'    "phase1": {r(row["phase1"])},\n    "phase2": {r(row["phase2"])},\n'
+        f'    "theta": {r(row["theta"])},\n    "phi": {r(row["phi"])},\n'
+        f'    "p_success": {r(row["p_success"])},\n    "fidelity": {r(row["fidelity"])},\n'
+        f'    "degenerate": {"true" if row["degenerate"] else "false"}\n  }}'
+        for row in rows
+    )
+    # float.__repr__ spells the non-finite floats nan, inf and -inf, where
+    # json writes NaN, Infinity and -Infinity. No key and no finite float
+    # contains either word.
+    return "[\n" + body.replace("nan", "NaN").replace("inf", "Infinity") + "\n]\n"

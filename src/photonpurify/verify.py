@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, NotSquare
 from .expansion import polynomial_to_state, state_to_polynomial, substitute
 from .fock import StateVector, input_from_probability, normalize, sector_occupations
 from .measurement import outcome_distribution
@@ -48,6 +48,8 @@ class CheckResult:
 def permanent_naive(m) -> complex:
     """Permutation-sum permanent, the slow cross-check for the kernel."""
     arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise NotSquare(f"permanent needs a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
     rows = arr.tolist()
     total = 0j

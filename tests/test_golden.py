@@ -39,6 +39,15 @@ PHASE_GRID = {
     "phase2": {"start": -math.pi, "stop": math.pi, "steps": 4},
 }
 PHASE_GRID_CSV_SHA256 = "8ff84399ebe1b13f3f1044070bc646d3197a9498215399c5c16b07ac817cdfc4"
+PHASE_GRID_JSON_SHA256 = "3977c5afa2c58ee937031c7c3c49310f76fd9f42c962ff2e2d14fe6b8735b641"
+
+#: Identical inputs, 41 probabilities by 5 phases on [-pi, pi]: 205 rows.
+DIAGONAL_GRID = {
+    "p1": {"start": 0.0, "stop": 1.0, "steps": 41},
+    "phase1": {"start": -math.pi, "stop": math.pi, "steps": 5},
+    "diagonal": True,
+}
+DIAGONAL_CSV_SHA256 = "83398c0d4ed2fd64689978c3dbdd1c067943fc866ebae1440ff29e06f6614f03"
 
 PLOT_SVG_SHA256 = "f248c5e839928c4a7f5d38879f6c39d32ffef23e61a470914a2d2fe2df5c5b30"
 
@@ -54,12 +63,24 @@ def test_default_sweep_bytes(tmp_path, fmt):
     assert sha256(out) == DEFAULT_SWEEP_SHA256[fmt]
 
 
-def test_phase_grid_sweep_bytes(tmp_path):
+def sweep_sha256(tmp_path, config: dict, fmt: str) -> str:
     cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(PHASE_GRID))
-    out = tmp_path / "grid.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert sha256(out) == PHASE_GRID_CSV_SHA256
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / f"grid.{fmt}"
+    assert main(["sweep", "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 0
+    return sha256(out)
+
+
+def test_phase_grid_sweep_bytes(tmp_path):
+    assert sweep_sha256(tmp_path, PHASE_GRID, "csv") == PHASE_GRID_CSV_SHA256
+
+
+def test_phase_grid_sweep_json_bytes(tmp_path):
+    assert sweep_sha256(tmp_path, PHASE_GRID, "json") == PHASE_GRID_JSON_SHA256
+
+
+def test_diagonal_sweep_bytes(tmp_path):
+    assert sweep_sha256(tmp_path, DIAGONAL_GRID, "csv") == DIAGONAL_CSV_SHA256
 
 
 def test_plot_svg_bytes(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from photonpurify import (
     CheckResult,
     ConfigInvalid,
+    NotSquare,
     StateVector,
     permanent,
     permanent_naive,
@@ -40,6 +41,15 @@ class TestHelpers:
         assert permanent_naive(np.array([[1.0, 2.0], [3.0, 4.0]])) == 10
         assert permanent_naive(np.ones((3, 3))) == 6
         assert permanent_naive(np.eye(4)) == 1
+
+    @pytest.mark.parametrize("m", [np.arange(6.0).reshape(2, 3), np.arange(3.0)],
+                             ids=["2x3", "1-d"])
+    def test_permanent_naive_rejects_non_square_like_permanent(self, m):
+        with pytest.raises(NotSquare) as naive:
+            permanent_naive(m)
+        with pytest.raises(NotSquare) as kernel:
+            permanent(m)
+        assert str(naive.value) == str(kernel.value)
 
     def test_permanent_naive_agrees_with_kernel(self):
         rng = np.random.default_rng(2)
