@@ -18,6 +18,7 @@ order regardless.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -28,19 +29,12 @@ from .errors import ConfigInvalid
 from .fock import input_from_probability
 from .scheme import SchemeResult, run_scheme
 
-#: Numeric row fields, in CSV column order.
-_NUMERIC_FIELDS = (
-    "p1",
-    "p2",
-    "phase1",
-    "phase2",
-    "theta",
-    "phi",
-    "p_success",
-    "fidelity",
-)
+#: Numeric row fields, in CSV column order: the grid axes, whose values
+#: repeat from row to row, then the scheme's results.
+_AXIS_FIELDS = ("p1", "p2", "phase1", "phase2")
+_RESULT_FIELDS = ("theta", "phi", "p_success", "fidelity")
 
-CSV_HEADER = ",".join(_NUMERIC_FIELDS + ("degenerate",))
+CSV_HEADER = ",".join(_AXIS_FIELDS + _RESULT_FIELDS + ("degenerate",))
 
 #: Most points one sweep may walk, per axis and over the whole grid; a
 #: config past it is a config error. Rows stay in memory until the sweep
@@ -201,43 +195,24 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-class _AxisCells(dict):
-    """``fmt`` of each axis value, computed on first use. ``fmt`` depends
-    on the value alone, so equal keys (0.0 and -0.0 too) share a cell."""
-
-    def __missing__(self, x: float) -> str:
-        cell = self[x] = fmt(float(x))
-        return cell
-
-
 def rows_to_csv(rows: list[dict]) -> str:
-    axis = _AxisCells()
+    # fmt depends on the value alone, so each axis value is formatted once
+    # per call; equal keys (0.0 and -0.0 too) share a cell.
+    axis_cells: dict[float, str] = {}
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(
-            f"{axis[row['p1']]},{axis[row['p2']]},{axis[row['phase1']]},{axis[row['phase2']]},"
-            f"{fmt(float(row['theta']))},{fmt(float(row['phi']))},"
-            f"{fmt(float(row['p_success']))},{fmt(float(row['fidelity']))},"
-            f"{'true' if row['degenerate'] else 'false'}"
-        )
+        cells = []
+        for name in _AXIS_FIELDS:
+            x = row[name]
+            cell = axis_cells.get(x)
+            if cell is None:
+                cell = axis_cells[x] = fmt(float(x))
+            cells.append(cell)
+        cells += [fmt(float(row[name])) for name in _RESULT_FIELDS]
+        cells.append("true" if row["degenerate"] else "false")
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[dict]) -> str:
-    """``json.dumps(rows, indent=2) + "\\n"``, byte for byte, for rows as
-    ``result_row`` builds them: its keys in its order, floats and a bool."""
-    if not rows:
-        return "[]\n"
-    r = float.__repr__
-    body = ",\n".join(
-        f'  {{\n    "p1": {r(row["p1"])},\n    "p2": {r(row["p2"])},\n'
-        f'    "phase1": {r(row["phase1"])},\n    "phase2": {r(row["phase2"])},\n'
-        f'    "theta": {r(row["theta"])},\n    "phi": {r(row["phi"])},\n'
-        f'    "p_success": {r(row["p_success"])},\n    "fidelity": {r(row["fidelity"])},\n'
-        f'    "degenerate": {"true" if row["degenerate"] else "false"}\n  }}'
-        for row in rows
-    )
-    # float.__repr__ spells the non-finite floats nan, inf and -inf, where
-    # json writes NaN, Infinity and -Infinity. No key and no finite float
-    # contains either word.
-    return "[\n" + body.replace("nan", "NaN").replace("inf", "Infinity") + "\n]\n"
+    return json.dumps(rows, indent=2) + "\n"
