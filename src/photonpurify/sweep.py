@@ -39,7 +39,7 @@ CSV_HEADER = ",".join(_AXIS_FIELDS + _RESULT_FIELDS + ("degenerate",))
 #: Most points one sweep may walk, per axis and over the whole grid; a
 #: config past it is a config error. Rows stay in memory until the sweep
 #: ends. A 200,000-point CSV sweep took about 0.72 KB of peak RSS and 37 to
-#: 48 us per point (CPython 3.11, shared 2-vCPU x86-64 Xeon), so a sweep at
+#: 53 us per point (CPython 3.11, shared 2-vCPU x86-64 Xeon), so a sweep at
 #: the cap peaks near 700 MB and runs for under a minute.
 MAX_GRID_POINTS = 1_000_000
 
