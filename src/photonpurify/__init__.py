@@ -35,7 +35,6 @@ from .fock import (
     inner_product,
     input_from_probability,
     input_to_state,
-    make_input,
     normalize,
     sector_occupations,
     tensor,
@@ -62,7 +61,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "7.3.1"
+__version__ = "8.0.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"
@@ -97,7 +96,6 @@ __all__ = [
     "inner_product",
     "input_from_probability",
     "input_to_state",
-    "make_input",
     "normalize",
     "outcome_distribution",
     "permanent",

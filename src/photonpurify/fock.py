@@ -5,8 +5,8 @@ amplitudes. The scheme keeps only its heralded output here, one mode and
 at most two basis elements. Its inputs and both stages run on scalars in
 ``scheme``, reproducing :func:`tensor`, ``optics.apply``,
 ``measurement.condition`` and :func:`normalize` bit for bit; the
-per-amplitude rule and the normalization they share are defined once
-below.
+per-amplitude rule, the squared norm and the normalization they share
+are defined once below.
 
 Conventions enforced here:
 
@@ -113,10 +113,7 @@ class InputState:
         a, b = complex(self.alpha), complex(self.beta)
         if not (cmath.isfinite(a) and cmath.isfinite(b)):
             raise ValueError("input amplitudes must be finite")
-        try:
-            n2 = abs(a) ** 2 + abs(b) ** 2
-        except OverflowError:
-            raise _overflow((a, b)) from None
+        n2 = _squared_norm((a, b))
         if abs(n2 - 1.0) > NORM_TOL:
             raise NotNormalized(f"|alpha|^2 + |beta|^2 = {n2!r}, expected 1 within {NORM_TOL}")
         object.__setattr__(self, "alpha", a)
@@ -126,12 +123,6 @@ class InputState:
     def p(self) -> float:
         """Probability of the single-photon component, |beta|^2."""
         return abs(self.beta) ** 2
-
-
-def make_input(alpha: complex, beta: complex) -> InputState:
-    """Validate and build a zero/one-photon superposition input; the same
-    as ``InputState(alpha, beta)``."""
-    return InputState(alpha, beta)
 
 
 def input_to_state(s: InputState) -> StateVector:
@@ -147,7 +138,7 @@ def input_from_probability(p: float, phase: float = 0.0) -> InputState:
     """
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"probability must lie in [0, 1], got {p!r}")
-    return make_input(math.sqrt(1.0 - p), cmath.exp(1j * phase) * math.sqrt(p))
+    return InputState(math.sqrt(1.0 - p), cmath.exp(1j * phase) * math.sqrt(p))
 
 
 def fock_state(occ: Occupation) -> StateVector:
@@ -202,8 +193,8 @@ def normalize(a: StateVector) -> tuple[StateVector, float]:
 
 
 # The helpers below are the per-amplitude rule, the squared norm and the
-# normalization shared by StateVector, normalize and the scalar stages in
-# ``scheme``.
+# normalization shared by StateVector, InputState, normalize and the
+# scalar stages in ``scheme``.
 # They stay private so that tracing the package's public layers does not
 # wrap a call per amplitude.
 
@@ -219,14 +210,19 @@ def _stored(z: complex) -> complex:
 
 
 def _squared_norm(amps) -> float:
-    # Python's sum() in the amplitudes' order; a pruned entry held as 0j
-    # adds an exact zero, so it leaves the sum's bits unchanged. A float
-    # ``** 2`` raises OverflowError instead of giving inf, and ``amps`` is
-    # read a second time only to name the amplitude in the error.
+    # The package's one squared norm. A plain left-to-right loop, not
+    # sum(), which adds floats with compensation from Python 3.12 on; a
+    # pruned entry held as 0j adds an exact zero, so it leaves the bits
+    # unchanged. A float ``** 2`` raises OverflowError instead of giving
+    # inf, and ``amps`` is read a second time only to name the amplitude
+    # in the error.
+    acc = 0.0
     try:
-        return sum(abs(a) ** 2 for a in amps)
+        for a in amps:
+            acc += abs(a) ** 2
     except OverflowError:
         raise _overflow(amps) from None
+    return acc
 
 
 def _overflow(amps) -> AmplitudeOverflow:

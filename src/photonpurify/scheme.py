@@ -29,15 +29,17 @@ cos^2(theta), which is p^2/4 for identical inputs with one-photon
 probability p.
 
 The circuit runs on complex scalars from the inputs to the herald: one
-private step does the work of ``fock.tensor``, ``optics.apply``,
-``measurement.condition`` and ``fock.normalize`` for a two-mode state of
-at most two photons, with the same float operations in the same order, so
-every result is bit-identical to the generic engine's. Every amplitude
-passes ``StateVector``'s prune and finiteness rule as a scalar (an
-``InputState`` is already finite and of unit norm, so no input vanishes),
-each splitter passes a scalar unitarity check, and only the heralded
-output becomes a ``StateVector``. The generic engine stays the reference
-the tests compare against.
+straight-line private function per stage does the work of
+``fock.tensor``, ``optics.apply``, ``measurement.condition`` and
+``fock.normalize``. It forms only the products that can be nonzero and
+skips those with an exact 0j, which can change only the sign of a zero
+that the projection then clears, so every result is bit-identical to the
+generic engine's. ``run_scheme`` and ``stage_two`` share the stage-2
+function. Every amplitude passes ``StateVector``'s prune and finiteness
+rule as a scalar (an ``InputState`` is already finite and of unit norm,
+so no input vanishes), each splitter passes a scalar unitarity check,
+and only the heralded output becomes a ``StateVector``. The generic
+engine stays the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import OutOfRange, PurityViolated
 from .fock import (
     InputState,
     StateVector,
-    _overflow,
+    _squared_norm,
     _stored,
     _unit_amplitudes,
     fidelity,
@@ -64,9 +66,8 @@ CANCEL_TOL = 1e-10
 # The stage-2 optimum for every c: a 50/50 splitter with phi2 = 0.
 _STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
 # Stage 2's fixed parts, built once and shared by every run: the 50/50
-# matrix, the vacuum ancilla's (|0>, |1>) amplitudes and the |1> target.
+# matrix and the |1> target.
 _STAGE_TWO_MATRIX = beamsplitter_matrix(_STAGE_TWO_OPTIMUM)
-_ANCILLA = (1.0 + 0j, 0j)
 _ONE_PHOTON = fock_state((1,))
 _SQRT2 = math.sqrt(2.0)
 
@@ -86,10 +87,7 @@ class StageOneCoefficients:
 
     @property
     def norm_squared(self) -> float:
-        try:
-            return abs(self.c0) ** 2 + abs(self.c1) ** 2 + abs(self.c2) ** 2
-        except OverflowError:
-            raise _overflow((self.c0, self.c1, self.c2)) from None
+        return _squared_norm((self.c0, self.c1, self.c2))
 
 
 @dataclass(frozen=True)
@@ -161,18 +159,10 @@ def stage_two(
     _, c_amps = _normalized((complex(c.c0), 0j, complex(c.c2)))
     if c_amps is None:
         return 0.0, None
-    p, amps = _two_mode_step(_ANCILLA, c_amps, beamsplitter_matrix(bs2), 1)
-    return p, _one_mode_state(amps)
+    return _stage_two(c_amps, beamsplitter_matrix(bs2))
 
 
-def _input_amplitudes(s: InputState) -> tuple[complex, complex]:
-    # input_to_state's (|0>, |1>) amplitudes as StateVector stores them.
-    # InputState holds finite amplitudes of unit norm, so one of them
-    # always survives the prune.
-    return _stored(s.alpha), _stored(s.beta)
-
-
-def _normalized(amps: tuple) -> tuple[float, list[complex] | None]:
+def _normalized(amps) -> tuple[float, list[complex] | None]:
     # normalize(StateVector(1, amps)) on scalars: (squared norm, unit-norm
     # amplitudes with 0j where StateVector stores none), or (0.0, None)
     # when no amplitude survives pruning.
@@ -183,53 +173,43 @@ def _normalized(amps: tuple) -> tuple[float, list[complex] | None]:
     return n2, scaled
 
 
-def _one_mode_state(amps) -> StateVector | None:
-    if amps is None:
-        return None
-    return StateVector(1, {(n,): z for n, z in enumerate(amps) if z})
+def _stage_one(in1: InputState, in2: InputState, m) -> tuple[float, list[complex] | None]:
+    """``tensor``, ``apply`` (U's rows ``m``) and ``condition`` on no photon
+    at mode 1, on scalars: (probability, the normalized (|0>, |1>, |2>)
+    amplitudes of mode 0, or None).
 
-
-def _two_mode_step(left, right, m, seen: int) -> tuple[float, list[complex] | None]:
-    """Tensor L with R, pass them through U and detect ``seen`` photons on
-    mode 1, all on complex scalars.
-
-    ``left`` holds the (|0>, |1>) amplitudes of the one-mode state L and
-    ``right`` the (|0>, |1>, |2>) amplitudes of R, with 0j where a
-    StateVector would store nothing and at most two photons in all; ``m``
-    is U's 2x2 matrix as nested rows. Returns (probability, amplitudes of
-    the normalized conditioned mode, or None) as ``measurement.condition``
-    returns (probability, state). The float operations are those of the
-    generic route (``fock.tensor``, ``optics.apply``, then
-    ``measurement.condition``) in the same order, so the result is
-    bit-identical to it: an amplitude that route never stores is held here
-    as 0j, which changes at most the sign of a zero until the projection's
-    ``0j +`` clears it.
+    Bit-identical to that route although it skips the products with the
+    second input's |2> amplitude, an exact 0j: each skipped term can change
+    only the sign of a zero, and the projection's ``0j +`` clears that sign
+    before pruning.
     """
-    l0, l1 = left
-    r0, r1, r2 = right
-    # tensor: StateVector drops the small products.
-    e00, e01, e02, e10, e11 = [
-        _stored(z) for z in (l0 * r0, l0 * r1, l0 * r2, l1 * r0, l1 * r1)
-    ]
-    (m00, m01), (m10, m11) = m
-    # apply: per photon-number sector, inputs summed in tensor's order and
-    # weighted by 1/sqrt(n0! n1!), the two-photon permanents written out.
-    # Only the outputs with `seen` photons on mode 1 are formed.
-    w02 = e02 / _SQRT2
-    if seen == 0:
-        out = (
-            e00,
-            e01 * m01 + e10 * m00,
-            (w02 * (m01 * m01 + m01 * m01) + e11 * (m00 * m01 + m01 * m00)) / _SQRT2,
-        )
-    else:
-        out = (
-            e01 * m11 + e10 * m10,
-            w02 * (m01 * m11 + m01 * m11) + e11 * (m00 * m11 + m01 * m10),
-        )
-    # condition: the projection adds to 0j; apply's StateVector pruning
-    # (which also drops exact zeros) happens in _normalized.
+    # tensor: StateVector drops the small inputs and products.
+    a0, a1, b0, b1 = [_stored(z) for z in (in1.alpha, in1.beta, in2.alpha, in2.beta)]
+    e00, e01, e10, e11 = [_stored(z) for z in (a0 * b0, a0 * b1, a1 * b0, a1 * b1)]
+    (m00, m01), _ = m
+    # apply: the two-photon permanent written out, weighted by 1/sqrt(2!).
+    out = (e00, e01 * m01 + e10 * m00, e11 * (m00 * m01 + m01 * m00) / _SQRT2)
     return _normalized([0j + z for z in out])
+
+
+def _stage_two(amps, m) -> tuple[float, StateVector | None]:
+    """``tensor`` of the vacuum ancilla (mode 0) with the normalized mode
+    ``amps`` (mode 1), ``apply`` (U's rows ``m``) and ``condition`` on one
+    photon at mode 1, on scalars: (probability, heralded state or None).
+
+    Bit-identical to that route although it skips the products with the
+    ancilla's |1> amplitude, an exact 0j, and the factor of its unit |0>
+    amplitude: each changes only the sign of a zero, and the projection's
+    ``0j +`` clears that sign before pruning. ``amps``' |0> cannot reach
+    one photon at mode 1.
+    """
+    _, r1, r2 = amps
+    (_, m01), (_, m11) = m
+    out = (r1 * m11, r2 / _SQRT2 * (m01 * m11 + m01 * m11))
+    p, scaled = _normalized([0j + z for z in out])
+    if scaled is None:
+        return p, None
+    return p, StateVector(1, {(n,): z for n, z in enumerate(scaled) if z})
 
 
 def _degenerate_reasons(
@@ -253,10 +233,11 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     photons. Stage 2 then puts the vacuum ancilla on mode 0 and the
     conditioned mode on mode 1; Lambda' acts on that pair and the stage-2
     detector watches mode 1 for one photon. No state holds more than two
-    photons, so the whole circuit runs on complex scalars (see the module
-    docstring) rather than through the generic ``tensor``, ``apply``,
-    ``condition`` and ``normalize`` route, whose results it reproduces bit
-    for bit; only the heralded output is built as a ``StateVector``.
+    photons, so each stage is one function on complex scalars (see the
+    module docstring) rather than the generic ``tensor``, ``apply``,
+    ``condition`` and ``normalize`` route; it forms fewer products than
+    that route but reproduces its results bit for bit. Only the heralded
+    output is built as a ``StateVector``.
     p_success is the joint probability of both outcomes.
 
     Lambda' is the analytic optimum, a 50/50 splitter; for any other
@@ -267,17 +248,11 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     params, vacuous = solve_cancellation(in1, in2)
     reasons = _degenerate_reasons(in1, in2, vacuous)
 
-    p1, amps1 = _two_mode_step(
-        _input_amplitudes(in1),
-        (*_input_amplitudes(in2), 0j),
-        beamsplitter_matrix(params),
-        0,
-    )
+    p1, amps1 = _stage_one(in1, in2, beamsplitter_matrix(params))
     if amps1 is None:
         p2, state = 0.0, None
     else:
-        p2, amps2 = _two_mode_step(_ANCILLA, amps1, _STAGE_TWO_MATRIX, 1)
-        state = _one_mode_state(amps2)
+        p2, state = _stage_two(amps1, _STAGE_TWO_MATRIX)
     fid = 0.0 if state is None else fidelity(state, _ONE_PHOTON)
     return SchemeResult(
         lambda1=params,

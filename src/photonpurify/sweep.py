@@ -67,6 +67,10 @@ class RangeSpec:
             raise ConfigInvalid(f"range start {self.start} exceeds stop {self.stop}")
 
     def points(self) -> tuple[float, ...]:
+        # A constant range repeats ``start`` itself: np.linspace turns -0.0
+        # into 0.0 at its first point and keeps it at its last.
+        if self.start == self.stop:
+            return (float(self.start),) * self.steps
         return tuple(float(x) for x in np.linspace(self.start, self.stop, self.steps))
 
 

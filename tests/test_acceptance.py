@@ -12,10 +12,10 @@ import sys
 import numpy as np
 
 from photonpurify import (
+    InputState,
     StageOneCoefficients,
     apply,
     input_from_probability,
-    make_input,
     outcome_distribution,
     permanent,
     permanent_naive,
@@ -102,7 +102,7 @@ def test_transformation_routes_agree():
         a2, b2 = math.sqrt(1 - p2), math.sqrt(p2)
         bs = BeamSplitterParams(rng.uniform(0, math.pi / 2), rng.uniform(-math.pi, math.pi))
         m = beamsplitter(bs).matrix
-        pair = tensor(input_to_state(make_input(a1, b1)), input_to_state(make_input(a2, b2)))
+        pair = tensor(input_to_state(InputState(a1, b1)), input_to_state(InputState(a2, b2)))
         out = apply(beamsplitter(bs), pair)
         assert abs(out.amplitude((0, 0)) - a1 * a2) <= 1e-12
         assert abs(out.amplitude((1, 0)) - (a2 * b1 * m[0, 0] + a1 * b2 * m[0, 1])) <= 1e-12

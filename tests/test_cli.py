@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -197,6 +198,13 @@ class TestSweep:
         rows = json.loads(out)
         assert len(rows) == 1
         assert rows[0]["p_success"] == pytest.approx(0.0625, abs=1e-12)
+
+    def test_json_phase_matches_run(self, capsys):
+        args = ("--p1", "0.5", "--p2", "0.3", "--phase1=-0.0", "--format", "json")
+        _, out, _ = run_cli(capsys, "sweep", *args)
+        _, run_out, _ = run_cli(capsys, "run", *args)
+        swept, ran = json.loads(out)[0]["phase1"], json.loads(run_out)["phase1"]
+        assert (swept, math.copysign(1.0, swept)) == (ran, math.copysign(1.0, ran)) == (0.0, -1.0)
 
     def test_out_and_plot_files(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"

@@ -6,6 +6,7 @@ import pytest
 from photonpurify import (
     BeamSplitterParams,
     CreationPolynomial,
+    InputState,
     ModeMismatch,
     NotSquare,
     StateVector,
@@ -13,7 +14,6 @@ from photonpurify import (
     beamsplitter,
     fock_state,
     input_to_state,
-    make_input,
     polynomial_to_state,
     state_to_polynomial,
     substitute,
@@ -34,7 +34,7 @@ class TestStateToPolynomial:
     def test_product_state_monomials(self):
         a1, b1 = 0.8, 0.6
         a2, b2 = 0.6, 0.8
-        s = tensor(input_to_state(make_input(a1, b1)), input_to_state(make_input(a2, b2)))
+        s = tensor(input_to_state(InputState(a1, b1)), input_to_state(InputState(a2, b2)))
         poly = state_to_polynomial(s)
         assert abs(poly.coefficient((0, 0)) - a1 * a2) < 1e-15
         assert abs(poly.coefficient((1, 0)) - b1 * a2) < 1e-15
@@ -107,7 +107,7 @@ class TestSubstitute:
             a2, b2 = math.sqrt(1 - p2), math.sqrt(p2)
             bs = BeamSplitterParams(rng.uniform(0, math.pi / 2), rng.uniform(-math.pi, math.pi))
             m = beamsplitter(bs).matrix
-            s = tensor(input_to_state(make_input(a1, b1)), input_to_state(make_input(a2, b2)))
+            s = tensor(input_to_state(InputState(a1, b1)), input_to_state(InputState(a2, b2)))
             out = substitute(state_to_polynomial(s), m)
             assert abs(out.coefficient((0, 0)) - a1 * a2) < 1e-12
             assert abs(out.coefficient((1, 0)) - (a2 * b1 * m[0, 0] + a1 * b2 * m[0, 1])) < 1e-12

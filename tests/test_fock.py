@@ -18,12 +18,12 @@ from photonpurify import (
     inner_product,
     input_from_probability,
     input_to_state,
-    make_input,
     normalize,
     sector_occupations,
     tensor,
     vacuum,
 )
+from photonpurify.fock import _squared_norm
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -79,31 +79,31 @@ class TestStateVector:
 
 class TestInputs:
     def test_make_input_vacuum(self):
-        assert make_input(1, 0).p == 0
+        assert InputState(1, 0).p == 0
 
     def test_make_input_single_photon(self):
-        assert make_input(0, 1).p == 1
+        assert InputState(0, 1).p == 1
 
     def test_make_input_balanced(self):
-        s = make_input(INV_SQRT2, INV_SQRT2)
+        s = InputState(INV_SQRT2, INV_SQRT2)
         assert abs(s.p - 0.5) < 1e-15
 
     def test_make_input_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
-            make_input(1.0, 0.5)
+            InputState(1.0, 0.5)
 
     def test_make_input_rejects_nan(self):
         with pytest.raises(ValueError):
-            make_input(float("nan"), 0)
+            InputState(float("nan"), 0)
 
     def test_input_to_state_amplitudes(self):
-        s = input_to_state(make_input(INV_SQRT2, INV_SQRT2))
+        s = input_to_state(InputState(INV_SQRT2, INV_SQRT2))
         assert abs(s.amplitude((0,)) - 0.70711) < 1e-5
         assert abs(s.amplitude((1,)) - 0.70711) < 1e-5
 
     def test_input_to_state_basis_cases(self):
-        assert input_to_state(make_input(1, 0)).amps == {(0,): 1}
-        assert input_to_state(make_input(0, 1)).amps == {(1,): 1}
+        assert input_to_state(InputState(1, 0)).amps == {(0,): 1}
+        assert input_to_state(InputState(0, 1)).amps == {(1,): 1}
 
     def test_input_from_probability(self):
         s = input_from_probability(0.3, 1.2)
@@ -148,7 +148,7 @@ class TestTensor:
         a1, b1 = math.sqrt(0.7), math.sqrt(0.3)
         a2, b2 = math.sqrt(0.4), math.sqrt(0.6)
         s = tensor(
-            input_to_state(make_input(a1, b1)), input_to_state(make_input(a2, b2))
+            input_to_state(InputState(a1, b1)), input_to_state(InputState(a2, b2))
         )
         assert abs(s.amplitude((0, 0)) - a1 * a2) < 1e-15
         assert abs(s.amplitude((1, 0)) - b1 * a2) < 1e-15
@@ -156,7 +156,7 @@ class TestTensor:
         assert abs(s.amplitude((1, 1)) - b1 * b2) < 1e-15
 
     def test_balanced_gives_quarter_weights(self):
-        half = input_to_state(make_input(INV_SQRT2, INV_SQRT2))
+        half = input_to_state(InputState(INV_SQRT2, INV_SQRT2))
         s = tensor(half, half)
         for occ in [(0, 0), (1, 0), (0, 1), (1, 1)]:
             assert abs(s.amplitude(occ) - 0.5) < 1e-15
@@ -227,6 +227,12 @@ class TestNormalize:
         amps = {occ: complex(*rng.normal(size=2)) for occ in sector_occupations(2, 2)}
         s, _ = normalize(StateVector(2, amps))
         assert abs(s.norm_squared - 1.0) < 1e-12
+
+    def test_squared_norm_sums_left_to_right(self):
+        # Each 1e-16 square is below half an ulp of 1.0, so a plain
+        # left-to-right sum stays at 1.0; the compensated sum() of Python
+        # 3.12 and later gives 1.0000000000000002.
+        assert _squared_norm((1.0, 1e-8, 1e-8)) == 1.0
 
     def test_huge_amplitude_is_package_error(self):
         # A float ``** 2`` past about 1.34e154 raises OverflowError; the

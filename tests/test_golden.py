@@ -1,5 +1,5 @@
-"""Golden output: sweep and plot bytes, and the generic engine's reprs,
-pinned by sha256 across builds.
+"""Golden output: sweep and plot bytes, and the generic engine's and the
+scheme's reprs, pinned by sha256 across builds.
 
 Repeated runs of one build are compared elsewhere; these pins compare a
 build against the bytes recorded before any refactor or optimisation, so
@@ -15,12 +15,17 @@ import numpy as np
 import pytest
 
 from photonpurify import (
+    BeamSplitterParams,
     InterferometerUnitary,
+    StageOneCoefficients,
     StateVector,
     apply,
+    input_from_probability,
     permanent,
     permanent_naive,
+    run_scheme,
     sector_occupations,
+    stage_two,
     state_to_polynomial,
     substitute,
 )
@@ -168,3 +173,52 @@ def generic_engine_lines() -> list[str]:
 def test_generic_engine_reprs():
     digest = hashlib.sha256("\n".join(generic_engine_lines()).encode()).hexdigest()
     assert digest == GENERIC_ENGINE_SHA256
+
+
+# The scheme's scalar path (``run_scheme`` and ``stage_two``) on a seeded
+# set: ROADMAP item 2's three edge-accuracy reproducers, log-uniform p and
+# 1 - p down to 1e-30 and uniform p at random phases, and the p in {0, 1}, phase +-pi
+# corners. Every field's repr counts, so the last bit and the sign of a
+# zero do. Inputs pass through ``input_from_probability``, whose cos, sin
+# and sqrt come from the C library like the sweep pins'.
+
+SCALAR_PATH_SHA256 = "bc20abc8ebdebe2755bf1f7d32c3901dbbe86391667073277834b55006e9651e"
+
+
+def _edge_probability(rng: random.Random) -> float:
+    # Log-uniform p, log-uniform 1 - p, or uniform p, one third each.
+    kind = rng.randrange(3)
+    if kind == 2:
+        return rng.random()
+    p = 10.0 ** rng.uniform(-30.0, 0.0)
+    return 1.0 - p if kind else p
+
+
+def scalar_path_lines() -> list[str]:
+    rng = random.Random(20261019)
+    pairs = [(1e-20, 0.5, 0.0, 0.0), (1e-12, 1.0 - 1e-12, 0.0, 0.0), (1.0 - 7.3e-15, 1.35e-14, 0.0, 0.0)]
+    for _ in range(300):
+        pairs.append(
+            (
+                _edge_probability(rng),
+                _edge_probability(rng),
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(-math.pi, math.pi),
+            )
+        )
+    corners = [(p, phase) for p in (0.0, 1.0) for phase in (-math.pi, math.pi)]
+    pairs += [(p1, p2, phase1, phase2) for p1, phase1 in corners for p2, phase2 in corners]
+    lines = []
+    for p1, p2, phase1, phase2 in pairs:
+        res = run_scheme(input_from_probability(p1, phase1), input_from_probability(p2, phase2))
+        lines.append(repr(res))
+    for _ in range(300):
+        c0, c2 = (_random_complex(rng) * 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(2))
+        bs2 = BeamSplitterParams(rng.uniform(0.0, math.pi / 2), rng.uniform(-math.pi, math.pi))
+        lines.append(repr(stage_two(StageOneCoefficients(c0, 0j, c2), bs2)))
+    return lines
+
+
+def test_scalar_path_reprs():
+    digest = hashlib.sha256("\n".join(scalar_path_lines()).encode()).hexdigest()
+    assert digest == SCALAR_PATH_SHA256

@@ -5,6 +5,7 @@ import pytest
 
 from photonpurify import (
     BeamSplitterParams,
+    InputState,
     ModeMismatch,
     StateVector,
     apply,
@@ -13,7 +14,6 @@ from photonpurify import (
     fidelity,
     fock_state,
     input_to_state,
-    make_input,
     outcome_distribution,
     tensor,
     vacuum,
@@ -24,7 +24,7 @@ from photonpurify.verify import random_state
 
 def balanced_pair_after_bs():
     # Both inputs (|0>+|1>)/sqrt(2) through the (pi/4, pi) splitter.
-    half = input_to_state(make_input(1 / math.sqrt(2), 1 / math.sqrt(2)))
+    half = input_to_state(InputState(1 / math.sqrt(2), 1 / math.sqrt(2)))
     return apply(beamsplitter(BeamSplitterParams(math.pi / 4, math.pi)), tensor(half, half))
 
 

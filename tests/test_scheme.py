@@ -7,6 +7,7 @@ import pytest
 from photonpurify import (
     AmplitudeOverflow,
     BeamSplitterParams,
+    InputState,
     OutOfRange,
     PurityViolated,
     StageOneCoefficients,
@@ -18,7 +19,6 @@ from photonpurify import (
     fock_state,
     input_from_probability,
     input_to_state,
-    make_input,
     run_scheme,
     solve_cancellation,
     stage_one_coefficients,
@@ -34,7 +34,7 @@ from photonpurify.scheme import (
     NO_VACUUM_AMPLITUDE,
 )
 
-BALANCED = make_input(1 / math.sqrt(2), 1 / math.sqrt(2))
+BALANCED = InputState(1 / math.sqrt(2), 1 / math.sqrt(2))
 HALF_PI = math.pi / 2
 
 
@@ -51,7 +51,7 @@ class TestStageOneCoefficients:
         assert abs(c.norm_squared - 0.375) < 1e-15
 
     def test_identity_splitter_keeps_input_one(self):
-        c = stage_one_coefficients(make_input(0.6, 0.8), make_input(1.0, 0.0),
+        c = stage_one_coefficients(InputState(0.6, 0.8), InputState(1.0, 0.0),
                                    BeamSplitterParams(0.0, 0.0))
         assert abs(c.c0 - 0.6) < 1e-15
         assert abs(c.c1 - 0.8) < 1e-15
@@ -93,22 +93,22 @@ class TestSolveCancellation:
 
     def test_input_phase_shifts_phi(self):
         chi = 0.5
-        shifted = make_input(1 / math.sqrt(2), cmath.exp(1j * chi) / math.sqrt(2))
+        shifted = InputState(1 / math.sqrt(2), cmath.exp(1j * chi) / math.sqrt(2))
         params, _ = solve_cancellation(shifted, BALANCED)
         assert params.phi == pytest.approx(chi - math.pi, abs=1e-12)
 
     def test_no_photon_in_second_input(self):
-        params, vacuous = solve_cancellation(BALANCED, make_input(1.0, 0.0))
+        params, vacuous = solve_cancellation(BALANCED, InputState(1.0, 0.0))
         assert (params.theta, params.phi) == (HALF_PI, 0.0)
         assert not vacuous
 
     def test_no_photon_in_first_input(self):
-        params, vacuous = solve_cancellation(make_input(1.0, 0.0), BALANCED)
+        params, vacuous = solve_cancellation(InputState(1.0, 0.0), BALANCED)
         assert (params.theta, params.phi) == (0.0, 0.0)
         assert not vacuous
 
     def test_both_terms_vanish_is_vacuous(self):
-        for s in (make_input(1.0, 0.0), make_input(0.0, 1.0)):
+        for s in (InputState(1.0, 0.0), InputState(0.0, 1.0)):
             params, vacuous = solve_cancellation(s, s)
             assert params.theta == pytest.approx(math.pi / 4, abs=1e-15)
             assert params.phi == pytest.approx(math.pi, abs=1e-15)
@@ -196,7 +196,7 @@ class TestOptimizeStageTwo:
                 assert p_other <= p_best + 1e-12
 
     def test_flat_objective_falls_back_to_balanced(self):
-        res = run_scheme(make_input(1.0, 0.0), make_input(1.0, 0.0))
+        res = run_scheme(InputState(1.0, 0.0), InputState(1.0, 0.0))
         assert res.stage_two_probability == 0.0
         assert res.lambda2.theta == pytest.approx(math.pi / 4, abs=1e-15)
 
@@ -234,7 +234,7 @@ class TestRunScheme:
         assert not res.degenerate
 
     def test_two_single_photons(self):
-        res = run_scheme(make_input(0.0, 1.0), make_input(0.0, 1.0))
+        res = run_scheme(InputState(0.0, 1.0), InputState(0.0, 1.0))
         assert abs(res.p_success - 0.25) < 1e-12
         assert res.degenerate
         assert NO_VACUUM_AMPLITUDE in res.degenerate_reasons
@@ -242,7 +242,7 @@ class TestRunScheme:
         assert res.output_fidelity >= 1 - 1e-10
 
     def test_vacuum_first_input(self):
-        res = run_scheme(make_input(1.0, 0.0), BALANCED)
+        res = run_scheme(InputState(1.0, 0.0), BALANCED)
         assert abs(res.stage_one_probability - 0.5) < 1e-12
         assert res.stage_two_probability == 0.0
         assert res.p_success == 0.0
@@ -256,7 +256,7 @@ class TestRunScheme:
     def test_nothing_survives_stage_one(self, photon_first):
         # One photon against vacuum: Lambda routes it onto the stage-1
         # detector, so zero photons there never happens.
-        photon, vac = make_input(0.0, 1.0), make_input(1.0, 0.0)
+        photon, vac = InputState(0.0, 1.0), InputState(1.0, 0.0)
         res = run_scheme(*((photon, vac) if photon_first else (vac, photon)))
         assert res.stage_one_probability == 0.0
         assert res.stage_two_probability == 0.0
@@ -267,7 +267,7 @@ class TestRunScheme:
         assert res.degenerate_reasons == (NO_PHOTON_PAIR, NO_VACUUM_AMPLITUDE)
 
     def test_double_vacuum(self):
-        res = run_scheme(make_input(1.0, 0.0), make_input(1.0, 0.0))
+        res = run_scheme(InputState(1.0, 0.0), InputState(1.0, 0.0))
         assert res.p_success == 0.0
         assert NO_PHOTON_PAIR in res.degenerate_reasons
         assert CANCELLATION_VACUOUS in res.degenerate_reasons
@@ -301,9 +301,9 @@ class TestClosedForm:
 
     def test_matches_simulation_in_corners(self):
         for in1, in2 in [
-            (make_input(1.0, 0.0), BALANCED),
-            (make_input(0.0, 1.0), make_input(0.0, 1.0)),
-            (BALANCED, make_input(1.0, 0.0)),
+            (InputState(1.0, 0.0), BALANCED),
+            (InputState(0.0, 1.0), InputState(0.0, 1.0)),
+            (BALANCED, InputState(1.0, 0.0)),
         ]:
             assert abs(closed_form_success(in1, in2) - run_scheme(in1, in2).p_success) < 1e-12
 

@@ -131,6 +131,10 @@ class TestGridCap:
 
     def test_single_step_is_start(self):
         assert RangeSpec(0.2, 0.9, 1).points() == (0.2,)
+        # np.linspace drops the sign of -0.0 at a range's first point.
+        for steps in (1, 3):
+            points = RangeSpec(-0.0, -0.0, steps).points()
+            assert [math.copysign(1.0, x) for x in points] == [-1.0] * steps
 
     def test_cap_is_inclusive(self):
         axis = RangeSpec(0.0, 1.0, 1000)
