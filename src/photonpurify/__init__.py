@@ -61,7 +61,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "8.0.0"
+__version__ = "8.0.1"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"

@@ -244,6 +244,16 @@ class TestSweep:
         assert code == 2
         assert "config error" in err
 
+    def test_overflowing_range_span_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        unit = {"start": 0, "stop": 1, "steps": 2}
+        span = {"start": -1e308, "stop": 1e308, "steps": 3}
+        cfg.write_text(json.dumps({"p1": unit, "p2": unit, "phase1": span}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "config error" in err
+        assert out == ""
+
     def test_huge_steps_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"p1": {"start": 0.0, "stop": 1.0, "steps": 10**20}}))

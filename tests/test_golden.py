@@ -30,6 +30,7 @@ from photonpurify import (
     substitute,
 )
 from photonpurify.cli import main
+from seeded_pairs import scalar_path_pairs
 
 DEFAULT_SWEEP_SHA256 = {
     "csv": "1ab74454a8455b86ccb6467be2bbeec2c9513588ef95cd91b6cdd822b30e6677",
@@ -185,29 +186,9 @@ def test_generic_engine_reprs():
 SCALAR_PATH_SHA256 = "bc20abc8ebdebe2755bf1f7d32c3901dbbe86391667073277834b55006e9651e"
 
 
-def _edge_probability(rng: random.Random) -> float:
-    # Log-uniform p, log-uniform 1 - p, or uniform p, one third each.
-    kind = rng.randrange(3)
-    if kind == 2:
-        return rng.random()
-    p = 10.0 ** rng.uniform(-30.0, 0.0)
-    return 1.0 - p if kind else p
-
-
 def scalar_path_lines() -> list[str]:
     rng = random.Random(20261019)
-    pairs = [(1e-20, 0.5, 0.0, 0.0), (1e-12, 1.0 - 1e-12, 0.0, 0.0), (1.0 - 7.3e-15, 1.35e-14, 0.0, 0.0)]
-    for _ in range(300):
-        pairs.append(
-            (
-                _edge_probability(rng),
-                _edge_probability(rng),
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(-math.pi, math.pi),
-            )
-        )
-    corners = [(p, phase) for p in (0.0, 1.0) for phase in (-math.pi, math.pi)]
-    pairs += [(p1, p2, phase1, phase2) for p1, phase1 in corners for p2, phase2 in corners]
+    pairs = scalar_path_pairs(rng)
     lines = []
     for p1, p2, phase1, phase2 in pairs:
         res = run_scheme(input_from_probability(p1, phase1), input_from_probability(p2, phase2))

@@ -4,11 +4,15 @@
 complex scalars. The reference below rebuilds the same circuit from the
 public generic engine (``tensor``, ``apply``, ``condition``), and every
 result must match it exactly, compared by ``repr`` so that the last bit
-and the sign of a zero count. The last tests keep the scalar path scalar:
+and the sign of a zero count. Further tests keep the scalar path scalar:
 no numpy splitter and one ``StateVector``, the heralded output, per call.
+The last ones hold the sweeps' vectorized batch to ``run_scheme`` in the
+same way, errors included.
 """
 
+import cmath
 import math
+import random
 from dataclasses import fields
 
 import numpy as np
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 
 from photonpurify import (
     BeamSplitterParams,
+    InputState,
     InterferometerUnitary,
     NotUnitary,
     StageOneCoefficients,
@@ -30,7 +35,9 @@ from photonpurify import (
     input_from_probability,
     input_to_state,
     normalize,
+    optics,
     run_scheme,
+    scheme,
     solve_cancellation,
     stage_two,
     tensor,
@@ -45,6 +52,7 @@ from photonpurify.scheme import (
     SchemeResult,
 )
 from photonpurify.sweep import RangeSpec
+from seeded_pairs import edge_pairs, scalar_path_pairs
 
 BALANCED = BeamSplitterParams(math.pi / 4, 0.0)
 
@@ -262,3 +270,116 @@ def test_scalar_unitarity_check_rejects_what_the_numpy_check_rejects(m):
 def test_scalar_unitarity_check_accepts_within_tolerance():
     check_unitary_2x2([[1.0 + 0j, 0j], [0j, 1.0 + 4e-11]])
     check_unitary_2x2(beamsplitter_matrix(BeamSplitterParams(0.7, -2.0)))
+
+
+# The sweep's batch (``scheme._run_batch``) against ``run_scheme``, field
+# by field: the golden pin's pairs, the smallest probabilities, signed zero
+# phases and a large seeded set, which spans many batch chunks.
+
+
+def batch_and_scalar(pairs):
+    states = [input_from_probability(p, phase) for p1, p2, h1, h2 in pairs for p, phase in ((p1, h1), (p2, h2))]
+    index = np.arange(len(states)).reshape(-1, 2)
+    got = []
+    for chunk in scheme._run_batch(states, index):
+        values = [column.tolist() for column in chunk[:6]] + [chunk.degenerate.tolist(), chunk.degenerate_reasons()]
+        got += zip(*values)
+    want = [run_scheme(states[i], states[j]) for i, j in index.tolist()]
+    return got, want
+
+
+BATCH_FIELDS = (
+    "theta",
+    "phi",
+    "stage_one_probability",
+    "stage_two_probability",
+    "p_success",
+    "output_fidelity",
+    "degenerate",
+    "degenerate_reasons",
+)
+
+
+def scalar_fields(result: SchemeResult) -> tuple:
+    return (result.lambda1.theta, result.lambda1.phi) + tuple(
+        getattr(result, name) for name in BATCH_FIELDS[2:]
+    )
+
+
+def test_batch_matches_run_scheme_field_by_field():
+    pairs = scalar_path_pairs(random.Random(20261019))
+    tiny = (0.0, 1e-300, 5e-324, 0.5, 1.0)
+    phases = (0.0, -0.0, math.pi, -math.pi)
+    pairs += [(p1, p2, h1, h2) for p1 in tiny for p2 in tiny for h1 in phases for h2 in phases]
+    pairs += edge_pairs(random.Random(14), 40_000)
+    got, want = batch_and_scalar(pairs)
+    assert len(got) == len(want) == len(pairs) > 10 * scheme._BATCH_CHUNK
+    mismatches = {name: 0 for name in BATCH_FIELDS}
+    for pair, values, result in zip(pairs, got, want):
+        for name, value, expected in zip(BATCH_FIELDS, values, scalar_fields(result)):
+            assert type(value) is type(expected), (name, pair)
+            mismatches[name] += repr(value) != repr(expected)
+    assert mismatches == {name: 0 for name in BATCH_FIELDS}
+    # The set reaches every branch: each reason, and pairs with and
+    # without a herald.
+    assert {r for values in got for r in values[-1]} == {
+        NO_PHOTON_PAIR,
+        NO_VACUUM_AMPLITUDE,
+        CANCELLATION_VACUOUS,
+    }
+    assert {values[5] == 0.0 for values in got} == {True, False}
+
+
+def first_scalar_error(states, index):
+    # (position, error type, message) of the first pair run_scheme rejects.
+    for k, (i, j) in enumerate(index.tolist()):
+        try:
+            run_scheme(states[i], states[j])
+        except Exception as exc:  # noqa: BLE001 - any error, compared below
+            return k, type(exc), str(exc)
+    raise AssertionError("no pair fails")
+
+
+def test_batch_raises_the_first_unitarity_failure_like_run_scheme(monkeypatch):
+    # At a zero tolerance only the exact splitters of (1, 0) and (0, 1)
+    # pass; every later pair fails with its own defect.
+    monkeypatch.setattr(optics, "UNITARITY_TOL", 0.0)
+    monkeypatch.setattr(scheme, "UNITARITY_TOL", 0.0)
+    states = [input_from_probability(p, 0.4) for p in (1.0, 0.0, 0.25, 0.5, 0.75)]
+    index = np.array([(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
+    k, kind, message = first_scalar_error(states, index)
+    assert (k, kind) == (2, NotUnitary)
+    with pytest.raises(NotUnitary) as info:
+        for _ in scheme._run_batch(states, index):
+            pass
+    assert str(info.value) == message
+
+
+def unchecked_input(alpha: complex, beta: complex) -> InputState:
+    # InputState refuses a non-finite amplitude; build one around the check.
+    state = object.__new__(InputState)
+    object.__setattr__(state, "alpha", alpha)
+    object.__setattr__(state, "beta", beta)
+    return state
+
+
+@pytest.mark.parametrize(
+    "in1, in2, kind, words",
+    [
+        # A non-finite amplitude, which _stored rejects.
+        (input_from_probability(0.6), unchecked_input(complex(math.inf, 0.0), 0j), ValueError, "non-finite"),
+        # -t1 / t2 has finite parts near 1.4e308, so abs(ratio) overflows.
+        (InputState(1e-200, cmath.exp(1j * math.pi / 4)), InputState(1.0, 5e-109), OverflowError, "too large"),
+    ],
+)
+def test_batch_raises_a_failure_past_the_first_chunk_like_run_scheme(in1, in2, kind, words):
+    states = [input_from_probability(0.3, 0.2), in1, in2]
+    rows = [(0, 1)] * (scheme._BATCH_CHUNK + 5) + [(1, 2), (2, 0)]
+    index = np.array(rows)
+    k, got_kind, message = first_scalar_error(states, index)
+    assert (k, got_kind) == (len(rows) - 2, kind) and words in message
+    chunks = scheme._run_batch(states, index)
+    next(chunks)
+    with pytest.raises(kind) as info:
+        next(chunks)
+    assert str(info.value) == message

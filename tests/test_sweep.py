@@ -121,6 +121,16 @@ class TestGridCap:
         with pytest.raises(ConfigInvalid):
             RangeSpec(0.0, 1.0, steps)
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 1001])
+    def test_range_span_that_overflows_rejected(self, steps):
+        # Both bounds are finite, but stop - start is inf.
+        with pytest.raises(ConfigInvalid):
+            RangeSpec(-1e308, 1e308, steps)
+
+    def test_widest_finite_span_accepted(self):
+        points = RangeSpec(-8e307, 8e307, 3).points()
+        assert points == (-8e307, 0.0, 8e307)
+
     def test_grid_over_cap_rejected(self):
         with pytest.raises(ConfigInvalid):
             SweepConfig(p1=AXIS_1001, p2=AXIS_1001)
