@@ -27,19 +27,25 @@ column-repeated submatrices:
     <n'|U|n> = per(U[n', n]) / sqrt(prod_i n_i! * prod_j n'_j!)
 
 where U[n', n] repeats row i n'_i times and column j n_j times. The
-permanent itself is evaluated by a pure-Python Ryser kernel with direct
-formulas below dimension 3. All of it runs on Python complexes: ``apply``
-reads the unitary once per call with ``tolist``, writes the zero- to
-two-photon permanents out on those scalars, and hands each larger
-submatrix to :func:`permanent_kernel` as an ndarray; the kernel reads it
-once with ``tolist`` and walks a Gray-code schedule cached per dimension.
+permanent is evaluated by Ryser's formula, with direct formulas below
+dimension 3. ``apply`` reads the unitary once per call with ``tolist``
+and writes the zero- to two-photon permanents out on those scalars. For
+a sector of k >= 3 photons it gathers the k x k submatrix of every
+(output, input) transition with one fancy index, ``_STACK_CHUNK``
+transitions at a time, and evaluates the stack in one vectorized pass of
+``_ryser_stack``. That pass walks the same Gray-code schedule as the
+scalar :func:`permanent_kernel`, on float64 arrays in the order of
+CPython 3.10-3.12's complex arithmetic (``_Py_c_prod`` for products, as
+in ``scheme``'s batch), so each permanent equals the kernel's bit for
+bit. :func:`permanent` on a single matrix keeps the scalar kernel, which
+reads the matrix once with ``tolist``; a stack of one costs far more.
 The scheme calls neither ``apply`` nor
 ``beamsplitter``: its states hold at most two photons, and ``scheme``
 evaluates them on scalars with the same arithmetic, taking each splitter
 from :func:`beamsplitter_matrix` with a scalar unitarity check.
 ``beamsplitter`` and ``apply`` are the general engine that the scheme's
 tests compare against and that ``verify`` checks; only those oracle
-checks reach the kernel.
+checks reach the permanents.
 """
 
 from __future__ import annotations
@@ -224,28 +230,102 @@ def permanent(m) -> complex:
         raise NotSquare(f"permanent needs a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
     if n < 3:
-        return _repeated_permanent(arr, arr.tolist(), list(range(n)), list(range(n)))
+        return _repeated_permanent(arr.tolist(), list(range(n)), list(range(n)))
     return permanent_kernel(arr)
 
 
-def _repeated_permanent(
-    matrix: np.ndarray, entries: list[list[complex]], rows: list[int], cols: list[int]
-) -> complex:
-    # Transition permanent with rows/cols given as repeated mode indices;
-    # ``entries`` is ``matrix.tolist()``. Zero to two photons are written
-    # out on those Python complexes: building submatrices for them would
-    # dominate the hot path. The kernel is looked up as a module global on
-    # each call, so a rebinding of ``permanent_kernel`` sees every call.
+#: Transitions per pass of ``_ryser_stack``, and Gray-code steps times
+#: transitions per block inside it. Every temporary of a pass then holds
+#: at most 2 x _STACK_CHUNK x k x k complex entries, whatever the sector
+#: size.
+_STACK_CHUNK = 4096
+
+
+@lru_cache(maxsize=None)
+def _stack_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # _gray_schedule(n) for _ryser_stack: per step, the row of
+    # [columns; -columns] that updates the row sums (j when column j
+    # enters, n + j when it leaves), and the sign of the subset's product
+    # as (step, 1) floats.
+    steps = _gray_schedule(n)
+    pick = np.array([j if add else n + j for j, add, _ in steps])
+    sign = np.array([-1.0 if negate else 1.0 for _, _, negate in steps])
+    return pick, sign[:, None]
+
+
+def _ryser_stack(mats: np.ndarray) -> np.ndarray:
+    """:func:`permanent_kernel` of each matrix in a (b, k, k) complex
+    stack (k >= 1), bit for bit.
+
+    The Gray-code steps run on all b matrices at once, in blocks of
+    ``_STACK_CHUNK // b`` steps. A step's row sums are a running sum over
+    the steps of +-column, and ``np.cumsum`` adds left to right from the
+    previous block's last sums (``0j`` before the first), so each sum is
+    the kernel's ``+=`` / ``-=``; subtracting equals adding the negation in
+    IEEE-754. Each product starts from ``1.0+0j`` and multiplies by the row
+    sums left to right in ``_Py_c_prod`` order (the leading ``1.0 *`` is
+    exact and dropped, the ``0.0 *`` terms stay, since they set the sign of
+    a zero). The total takes each signed product in step order the same
+    way.
+    """
+    b, k = mats.shape[0], mats.shape[1]
+    cols = mats.transpose(2, 1, 0)
+    signed = np.concatenate((cols, -cols))
+    pick, sign = _stack_schedule(k)
+    block = max(1, _STACK_CHUNK // b)
+    sums = np.zeros((k, b), dtype=complex)
+    total_re = total_im = 0.0
+    # Python's complex arithmetic never warns; inf - inf is NaN here too.
+    with np.errstate(all="ignore"):
+        for start in range(0, len(pick), block):
+            # (step, row, matrix) row sums of this block
+            steps = signed[pick[start : start + block]]
+            steps[0] += sums
+            steps = np.cumsum(steps, axis=0)
+            sums = steps[-1]
+            re, im = steps.real, steps.imag
+            pr, pi = re[:, 0] - 0.0 * im[:, 0], im[:, 0] + 0.0 * re[:, 0]
+            for i in range(1, k):
+                vr, vi = re[:, i], im[:, i]
+                pr, pi = pr * vr - pi * vi, pr * vi + pi * vr
+            signs = sign[start : start + block]
+            pr *= signs
+            pi *= signs
+            pr[0] += total_re
+            pi[0] += total_im
+            total_re = np.cumsum(pr, axis=0)[-1]
+            total_im = np.cumsum(pi, axis=0)[-1]
+    out = np.empty(b, dtype=complex)
+    out.real, out.imag = total_re, total_im
+    return out
+
+
+def _transition_permanents(matrix: np.ndarray, rows: list[list[int]], cols: list[list[int]]):
+    # per(matrix[r, c]) for each r in rows, then each c in cols, as Python
+    # complexes: _STACK_CHUNK submatrices gathered by one fancy index per
+    # pass of _ryser_stack.
+    rows_arr, cols_arr = np.array(rows), np.array(cols)
+    n_in = len(cols)
+    n = len(rows) * n_in
+    for start in range(0, n, _STACK_CHUNK):
+        pair = np.arange(start, min(start + _STACK_CHUNK, n))
+        r, c = rows_arr[pair // n_in], cols_arr[pair % n_in]
+        yield from _ryser_stack(matrix[r[:, :, None], c[:, None, :]]).tolist()
+
+
+def _repeated_permanent(entries: list[list[complex]], rows: list[int], cols: list[int]) -> complex:
+    # Permanent of zero to two photons with rows/cols given as repeated
+    # mode indices, written out on ``entries``, a matrix's ``tolist()``:
+    # building submatrices for them would dominate the hot path. Larger
+    # transitions go to _ryser_stack, larger matrices to permanent_kernel.
     k = len(rows)
     if k == 0:
         return 1.0 + 0j
     if k == 1:
         return entries[rows[0]][cols[0]]
-    if k == 2:
-        r0, r1 = entries[rows[0]], entries[rows[1]]
-        c0, c1 = cols
-        return r0[c0] * r1[c1] + r0[c1] * r1[c0]
-    return permanent_kernel(matrix.take(rows, 0).take(cols, 1))
+    r0, r1 = entries[rows[0]], entries[rows[1]]
+    c0, c1 = cols
+    return r0[c0] * r1[c1] + r0[c1] * r1[c0]
 
 
 def _occupation_factorial(occ) -> int:
@@ -284,19 +364,21 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
     for occ, amp in s.amps.items():
         by_sector.setdefault(sum(occ), []).append((occ, amp))
 
-    matrix = u.matrix
-    entries = matrix.tolist()
+    entries = u.matrix.tolist()
     out: dict[tuple[int, ...], complex] = {}
     for photons, members in by_sector.items():
-        inputs = [
-            (_repeat_modes(occ), amp / math.sqrt(_occupation_factorial(occ)))
-            for occ, amp in members
-        ]
-        for out_occ in sector_occupations(photons, s.modes):
-            rows = _repeat_modes(out_occ)
+        outputs = sector_occupations(photons, s.modes)
+        rows = [_repeat_modes(occ) for occ in outputs]
+        cols = [_repeat_modes(occ) for occ, _ in members]
+        weights = [amp / math.sqrt(_occupation_factorial(occ)) for occ, amp in members]
+        if photons < 3:
+            pers = (_repeated_permanent(entries, r, c) for r in rows for c in cols)
+        else:
+            pers = _transition_permanents(u.matrix, rows, cols)
+        for out_occ in outputs:
             acc = 0j
-            for cols, weighted_amp in inputs:
-                acc += weighted_amp * _repeated_permanent(matrix, entries, rows, cols)
+            for weighted_amp in weights:
+                acc += weighted_amp * next(pers)
             if acc != 0j:
                 out[out_occ] = acc / math.sqrt(_occupation_factorial(out_occ))
     return StateVector(s.modes, out)

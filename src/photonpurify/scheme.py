@@ -364,6 +364,14 @@ def _run_batch(states, index) -> Iterator[_BatchColumns]:
         yield columns
 
 
+def _grid_index(n_p1: int, n_p2: int, n_h1: int, n_h2: int, second: int = 0) -> np.ndarray:
+    """``_run_batch``'s index for the (p1, p2, phase1, phase2) grid in
+    row-major order, with each side's inputs listed p-major by (p, phase):
+    side 1's from position 0, side 2's from position ``second``."""
+    i1, i2, j1, j2 = np.indices((n_p1, n_p2, n_h1, n_h2)).reshape(4, -1)
+    return np.column_stack((i1 * n_h1 + j1, second + i2 * n_h2 + j2))
+
+
 # Complex arithmetic on (real, imag) pairs of float64 arrays or floats, in
 # CPython 3.10-3.12's order; a float operand of a complex operation is
 # written as (x, 0.0), as CPython promotes it.

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigInvalid
 from .fock import input_from_probability
-from .scheme import SchemeResult, _run_batch, run_scheme
+from .scheme import SchemeResult, _grid_index, _run_batch, run_scheme
 
 #: Numeric row fields, in CSV column order: the grid axes, whose values
 #: repeat from row to row, then the scheme's results.
@@ -187,8 +187,7 @@ def sweep_rows(cfg: SweepConfig) -> list[dict]:
         p2s, h2s = cfg.p2.points(), cfg.phase2.points()
         first = len(states)
         states += [input_from_probability(p, h) for p in p2s for h in h2s]
-        i1, i2, j1, j2 = np.indices((len(p1s), len(p2s), len(h1s), len(h2s))).reshape(4, -1)
-        index = np.column_stack((i1 * len(h1s) + j1, first + i2 * len(h2s) + j2))
+        index = _grid_index(len(p1s), len(p2s), len(h1s), len(h2s), first)
     rows = []
     points = grid_points(cfg)
     for res in _run_batch(states, index):

@@ -2,9 +2,10 @@
 
 Six named checks: unitarity (two-mode splitters), norm-preservation,
 permanent-vs-oracle, apply-vs-oracle, purity-grid, and dominance (simulated
-identical-input runs against p^2/4 and 16p^3/81). Each returns a
-CheckResult with a worst-case defect so failures carry numbers, not just a
-flag.
+identical-input runs against p^2/4 and 16p^3/81). purity-grid runs on the
+sweep's batch route (``scheme._run_batch``), dominance on ``run_scheme``.
+Each returns a CheckResult with a worst-case defect so failures carry
+numbers, not just a flag.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .optics import (
     permanent,
     unitarity_defect,
 )
-from .scheme import run_scheme, success_curve_new, success_curve_old
+from .scheme import _grid_index, _run_batch, run_scheme, success_curve_new, success_curve_old
 
 NORM_TOL = 1e-12
 ORACLE_TOL = 1e-12
@@ -176,21 +177,17 @@ def check_purity_grid() -> CheckResult:
     """Non-degenerate scheme runs herald |1> with fidelity 1 - 1e-10.
 
     A coarse 10x10x4x4 grid; the acceptance suite sweeps the full one.
+    Its 40 inputs are built once and its points evaluated by
+    ``scheme._run_batch``, the sweep's route, which equals ``run_scheme``
+    bit for bit.
     """
-    ps = np.linspace(0.05, 0.95, 10)
-    phases = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
-    deficits = []
-    for p1 in ps:
-        for p2 in ps:
-            for ph1 in phases:
-                for ph2 in phases:
-                    in1 = input_from_probability(float(p1), float(ph1))
-                    in2 = input_from_probability(float(p2), float(ph2))
-                    result = run_scheme(in1, in2)
-                    if result.degenerate:
-                        continue
-                    deficits.append(1.0 - result.output_fidelity)
-    worst = _worst(deficits)
+    ps = np.linspace(0.05, 0.95, 10).tolist()
+    phases = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False).tolist()
+    # both sides draw from the same 40 inputs
+    states = [input_from_probability(p, ph) for p in ps for ph in phases]
+    index = _grid_index(len(ps), len(ps), len(phases), len(phases))
+    deficits = [1.0 - res.output_fidelity[~res.degenerate] for res in _run_batch(states, index)]
+    worst = _worst(np.concatenate(deficits))
     return CheckResult(
         "purity-grid", worst <= PURITY_TOL, f"max fidelity deficit {worst:.3e} on 10x10x4x4 grid"
     )

@@ -122,6 +122,59 @@ class TestPermanent:
                 assert abs(permanent_kernel(m) - permanent_naive(m)) < 1e-12
 
 
+def _signed_zero_stack(rng, count, dim):
+    # Random entries with exact 0.0 and -0.0 parts mixed in, and every
+    # matrix's rows and columns drawn with repetition from two modes'
+    # worth of a random matrix, as apply's repeated-mode submatrices are.
+    parts = rng.uniform(-1, 1, (2, count, dim, dim))
+    parts[rng.random(parts.shape) < 0.25] = 0.0
+    parts[rng.random(parts.shape) < 0.25] = -0.0
+    stack = np.empty((count, dim, dim), dtype=complex)
+    stack.real, stack.imag = parts
+    for mat in stack[: count // 2]:
+        rows = rng.integers(0, 2, dim)
+        cols = rng.integers(0, 2, dim)
+        mat[:] = mat[rows][:, cols]
+    return stack
+
+
+class TestRyserStack:
+    """``optics._ryser_stack`` is ``permanent_kernel`` on each matrix of a
+    stack, bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_equals_kernel_by_repr(self, dim):
+        rng = np.random.default_rng(dim)
+        for count in (1, 7, 40):
+            stack = _signed_zero_stack(rng, count, dim)
+            got = [repr(per) for per in optics._ryser_stack(stack).tolist()]
+            assert got == [repr(permanent_kernel(mat)) for mat in stack]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_exact_and_non_finite_parts(self, dim):
+        """Parts drawn from 0.0, -0.0, +-1, +-0.5 and +-inf: row sums and
+        products cancel to signed zeros or turn NaN, and each permanent's
+        parts still equal the kernel's. Dimensions 1 and 2 are below
+        ``apply``'s use, but there an infinite part shows whether the
+        ``0.0 *`` terms of ``1.0+0j`` times the first row sum are kept."""
+        rng = np.random.default_rng(11 + dim)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, math.inf, -math.inf])
+        weights = np.array([6, 6, 3, 3, 3, 3, 1, 1]) / 26
+        stack = np.empty((400, dim, dim), dtype=complex)
+        stack.real = rng.choice(values, size=stack.shape, p=weights)
+        stack.imag = rng.choice(values, size=stack.shape, p=weights)
+        stack[0] = 0j
+        stack[1].real, stack[1].imag = -0.0, -0.0
+        got = [repr(per) for per in optics._ryser_stack(stack).tolist()]
+        assert got == [repr(permanent_kernel(mat)) for mat in stack]
+
+    def test_stack_larger_than_one_chunk(self):
+        rng = np.random.default_rng(5)
+        stack = _signed_zero_stack(rng, optics._STACK_CHUNK + 5, 3)
+        got = [repr(per) for per in optics._ryser_stack(stack).tolist()]
+        assert got == [repr(permanent_kernel(mat)) for mat in stack]
+
+
 class TestApply:
     def test_identity(self):
         s = random_state(np.random.default_rng(2), 2, 3)
@@ -207,26 +260,38 @@ class TestApply:
             per = m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]
             assert abs(out.amplitude((1, 1)) - b1 * b2 * per) < 1e-14
 
-    @pytest.mark.parametrize("modes, photons", [(2, 3), (3, 4)])
-    def test_kernel_sees_every_transition_of_three_or_more_photons(self, monkeypatch, modes, photons):
-        """Each transition of at least three photons calls the module-level
-        kernel once, with a k x k ndarray: per-dimension kernel counts taken
-        by rebinding ``optics.permanent_kernel`` rely on this."""
-        seen = []
-
-        def counting_kernel(m):
-            seen.append((type(m), m.shape))
-            return permanent_kernel(m)
-
-        monkeypatch.setattr(optics, "permanent_kernel", counting_kernel)
+    @pytest.mark.parametrize("modes, photons", [(2, 3), (3, 4), (3, 5)])
+    def test_kernel_sees_every_transition_of_three_or_more_photons(
+        self, monkeypatch, modes, photons
+    ):
+        """Each sector of k >= 3 photons reaches the stacked kernel
+        ``_ryser_stack`` as its N_out * N_in k x k transition submatrices,
+        output-major, in passes of at most ``_STACK_CHUNK`` matrices, and
+        never the scalar kernel; the split does not change a bit of the
+        result."""
         s = random_state(np.random.default_rng(43), modes, photons)
-        apply(random_unitary(np.random.default_rng(47), modes), s)
-        expected = [
-            (np.ndarray, (k, k))
-            for k in range(3, photons + 1)
-            for _ in range(len(sector_occupations(k, modes)) ** 2)
-        ]
-        assert sorted(seen, key=lambda call: call[1]) == expected
+        u = random_unitary(np.random.default_rng(47), modes)
+        whole = repr(sorted(apply(u, s).amps.items()))
+        stacks = []
+        ryser_stack = optics._ryser_stack
+
+        def recording_stack(mats):
+            stacks.append(mats.copy())
+            return ryser_stack(mats)
+
+        monkeypatch.setattr(optics, "_ryser_stack", recording_stack)
+        monkeypatch.setattr(optics, "_STACK_CHUNK", 7)
+        monkeypatch.setattr(optics, "permanent_kernel", None)
+        assert repr(sorted(apply(u, s).amps.items())) == whole
+
+        assert all(len(mats) <= 7 for mats in stacks)
+        for k in range(3, photons + 1):
+            rows = [optics._repeat_modes(occ) for occ in sector_occupations(k, modes)]
+            cols = [optics._repeat_modes(occ) for occ in s.amps if sum(occ) == k]
+            passes = [mats for mats in stacks if mats.shape[1] == k]
+            assert len(passes) == -(-len(rows) * len(cols) // 7)
+            expected = np.array([u.matrix[r][:, c] for r in rows for c in cols])
+            assert np.array_equal(np.concatenate(passes), expected)
 
     def test_unitarity_perturbation_detected(self):
         u = random_unitary(np.random.default_rng(41), 3)

@@ -74,8 +74,16 @@ def sweep_case(request):
 
 class TestEquivalence:
     def test_rows_equal_per_point_evaluation(self, sweep_case):
+        # Row by row, as strict as comparing repr(rows) whole, but a failure
+        # names the first differing row instead of diffing megabytes.
         cfg, rows = sweep_case
-        assert repr(rows) == repr(reference_rows(cfg))
+        got = [repr(row) for row in rows]
+        want = [repr(row) for row in reference_rows(cfg)]
+        assert len(got) == len(want)
+        differing = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+        if differing:
+            k = differing[0]
+            pytest.fail(f"{len(differing)} of {len(want)} rows differ; first, row {k}: {got[k]} != {want[k]}")
 
     def test_csv_equals_per_cell_formula(self, sweep_case):
         _, rows = sweep_case

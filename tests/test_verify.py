@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,15 +11,18 @@ from photonpurify import (
     ConfigInvalid,
     NotSquare,
     StateVector,
+    input_from_probability,
     permanent,
     permanent_naive,
     run_checks,
+    run_scheme,
 )
 from photonpurify import verify
 from photonpurify.verify import (
     amplitude_distance,
     check_dominance,
     check_norm_preservation,
+    check_purity_grid,
     check_unitarity,
     random_matrix,
     random_state,
@@ -115,6 +120,26 @@ class TestRunChecks:
         assert result.name == "norm-preservation"
         assert not result.passed
 
+    def test_purity_grid_equals_run_scheme_per_point(self):
+        """The batch route reports the same worst deficit as ``run_scheme``
+        called on each of the 1,600 points (the batch equals ``run_scheme``
+        bit for bit; ``test_scheme_reference`` checks that)."""
+        ps = np.linspace(0.05, 0.95, 10)
+        phases = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+        deficits = [
+            1.0 - result.output_fidelity
+            for p1, p2, ph1, ph2 in itertools.product(ps, ps, phases, phases)
+            for result in [
+                run_scheme(
+                    input_from_probability(float(p1), float(ph1)),
+                    input_from_probability(float(p2), float(ph2)),
+                )
+            ]
+            if not result.degenerate
+        ]
+        worst = float(np.max(deficits, initial=0.0))
+        assert check_purity_grid().detail == f"max fidelity deficit {worst:.3e} on 10x10x4x4 grid"
+
     def test_wrong_success_fails_dominance(self, monkeypatch):
         real_run_scheme = verify.run_scheme
 
@@ -143,8 +168,10 @@ class TestRunChecks:
              "permanent_naive", lambda m: complex(NAN, 0.0)),
             (lambda: verify.check_apply_vs_oracle(np.random.default_rng(0), 3),
              "amplitude_distance", lambda a, b: NAN),
-            (verify.check_purity_grid, "run_scheme",
-             lambda in1, in2: SimpleNamespace(degenerate=False, output_fidelity=NAN)),
+            (verify.check_purity_grid, "_run_batch",
+             lambda states, index: iter([SimpleNamespace(
+                 degenerate=np.zeros(len(index), dtype=bool),
+                 output_fidelity=np.full(len(index), NAN))])),
         ],
         ids=["norm-preservation", "permanent-vs-oracle", "apply-vs-oracle", "purity-grid"],
     )
