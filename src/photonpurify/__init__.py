@@ -52,6 +52,7 @@ from .scheme import (
     SchemeResult,
     StageOneCoefficients,
     closed_form_success,
+    exact_success,
     run_scheme,
     solve_cancellation,
     stage_one_coefficients,
@@ -61,7 +62,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "8.0.2"
+__version__ = "8.1.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"
@@ -91,6 +92,7 @@ __all__ = [
     "beamsplitter",
     "closed_form_success",
     "condition",
+    "exact_success",
     "fidelity",
     "fock_state",
     "inner_product",

@@ -24,6 +24,7 @@ from .sweep import (
     rows_to_csv,
     rows_to_json,
     run_point,
+    sweep_csv,
     sweep_rows,
 )
 from .svgplot import success_comparison_svg
@@ -204,10 +205,9 @@ def cmd_run(config: RunConfig) -> str:
 
 def cmd_sweep(config: SweepConfig) -> str:
     """Evaluate the grid and render rows in the configured format."""
-    rows = sweep_rows(config)
     if config.output_format == "json":
-        return rows_to_json(rows)
-    return rows_to_csv(rows)
+        return rows_to_json(sweep_rows(config))
+    return sweep_csv(config)
 
 
 def cmd_verify(seed: int, trials: int) -> tuple[str, bool]:

@@ -37,8 +37,9 @@ transitions at a time, and evaluates the stack in one vectorized pass of
 scalar :func:`permanent_kernel`, on float64 arrays in the order of
 CPython 3.10-3.12's complex arithmetic (``_Py_c_prod`` for products, as
 in ``scheme``'s batch), so each permanent equals the kernel's bit for
-bit. :func:`permanent` on a single matrix keeps the scalar kernel, which
-reads the matrix once with ``tolist``; a stack of one costs far more.
+bit. :func:`permanent` on a single matrix, and ``apply`` on a sector
+with a single transition, keep the scalar kernel, which reads the matrix
+once with ``tolist``; a stack of one costs far more.
 The scheme calls neither ``apply`` nor
 ``beamsplitter``: its states hold at most two photons, and ``scheme``
 evaluates them on scalars with the same arithmetic, taking each splitter
@@ -303,10 +304,15 @@ def _ryser_stack(mats: np.ndarray) -> np.ndarray:
 def _transition_permanents(matrix: np.ndarray, rows: list[list[int]], cols: list[list[int]]):
     # per(matrix[r, c]) for each r in rows, then each c in cols, as Python
     # complexes: _STACK_CHUNK submatrices gathered by one fancy index per
-    # pass of _ryser_stack.
-    rows_arr, cols_arr = np.array(rows), np.array(cols)
+    # pass of _ryser_stack. A single transition (a one-mode sector) goes to
+    # permanent_kernel, whose bits are the same: a stack of one costs far
+    # more than one scalar call.
     n_in = len(cols)
     n = len(rows) * n_in
+    if n == 1:
+        yield permanent_kernel(matrix[np.ix_(rows[0], cols[0])])
+        return
+    rows_arr, cols_arr = np.array(rows), np.array(cols)
     for start in range(0, n, _STACK_CHUNK):
         pair = np.arange(start, min(start + _STACK_CHUNK, n))
         r, c = rows_arr[pair // n_in], cols_arr[pair % n_in]

@@ -70,7 +70,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,6 +88,9 @@ from .fock import (
     fock_state,
 )
 from .optics import UNITARITY_TOL, BeamSplitterParams, beamsplitter_matrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Residual single-photon amplitude allowed after cancellation.
 CANCEL_TOL = 1e-10
@@ -561,6 +564,32 @@ def closed_form_success(in1: InputState, in2: InputState) -> float:
     s = math.sin(params.theta)
     c = math.cos(params.theta)
     return abs(in1.beta * in2.beta) ** 2 * (s * c) ** 2
+
+
+def exact_success(p1: float, p2: float) -> Fraction:
+    """The exact joint success for inputs of one-photon probabilities p1
+    and p2, whatever their phases: the oracle that ``run_scheme`` and
+    ``closed_form_success`` are measured against.
+
+    With x = p1 (1 - p2) and y = p2 (1 - p1), sin^2 cos^2 of the
+    cancellation angle is x y / (x + y)^2, so P = p1 p2 x y / (x + y)^2.
+    Where x = y = 0, ``solve_cancellation`` returns theta = pi/4 and
+    P = p1 p2 / 4. Evaluated in rationals on the exact binary values of
+    p1 and p2, so a float route's error against it includes the rounding
+    of its inputs' amplitudes, sqrt(1 - p) and sqrt(p).
+    """
+    # Imported here: no run path needs the oracle, and importing fractions
+    # (with decimal and numbers) adds about 3 ms to every start-up.
+    from fractions import Fraction
+
+    for name, p in (("p1", p1), ("p2", p2)):
+        if not 0.0 <= p <= 1.0:
+            raise OutOfRange(f"{name} must lie in [0, 1], got {p!r}")
+    p1, p2 = Fraction(p1), Fraction(p2)
+    x, y = p1 * (1 - p2), p2 * (1 - p1)
+    if x + y == 0:
+        return p1 * p2 / 4
+    return p1 * p2 * x * y / (x + y) ** 2
 
 
 def success_curve_new(p: float) -> float:

@@ -4,18 +4,24 @@ Grid semantics: four ranges (p1, p2, phase1, phase2) walked in row-major
 order with p1 outermost and phase2 innermost. ``diagonal`` collapses the
 grid to identical inputs, iterating (p1, phase1) and copying them to the
 second input; that is how the closed-form success curve is traced.
-``sweep_rows`` builds each input once per (p, phase) pair of its own
-side's axes, not once per grid point, and the diagonal pairs each input
-with itself. The pairs then go to ``scheme._run_batch``, which evaluates
-them in fixed-size chunks on numpy arrays and gives every field the bits
-``run_scheme`` gives it (see ``scheme`` for the rules that keep them), so
-the rows equal a per-point ``run_point`` by ``repr``.
+Each input is built once per (p, phase) pair of its own side's axes, not
+once per grid point, and the diagonal pairs each input with itself. The
+pairs then go to ``scheme._run_batch``, which evaluates them in
+fixed-size chunks on numpy arrays and gives every field the bits
+``run_scheme`` gives it (see ``scheme`` for the rules that keep them).
+
+``sweep_csv`` formats the batch's columns straight into CSV lines, chunk
+by chunk, and builds no row dicts. ``sweep_rows`` turns the same columns
+into one dict per point, equal to a per-point ``run_point`` by ``repr``;
+JSON output and ``rows_to_csv`` go through those rows.
 
 CSV output is byte-deterministic: fixed column order, fixed number
 formatting (12 significant digits, lowercase scientific below 1e-4, bare
 "0" for zero), LF newlines. Points are independent pure evaluations, so
 any execution order must produce the same bytes; emission follows grid
-order regardless.
+order regardless. ``fmt`` depends on the value alone, so ``sweep_csv``
+formats each axis value once per sweep and each distinct result value
+once per chunk (0.0 and -0.0 share the cell "0").
 """
 
 from __future__ import annotations
@@ -24,13 +30,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigInvalid
 from .fock import input_from_probability
-from .scheme import SchemeResult, _grid_index, _run_batch, run_scheme
+from .scheme import SchemeResult, _BatchColumns, _grid_index, _run_batch, run_scheme
 
 #: Numeric row fields, in CSV column order: the grid axes, whose values
 #: repeat from row to row, then the scheme's results.
@@ -40,10 +46,12 @@ _RESULT_FIELDS = ("theta", "phi", "p_success", "fidelity")
 CSV_HEADER = ",".join(_AXIS_FIELDS + _RESULT_FIELDS + ("degenerate",))
 
 #: Most points one sweep may walk, per axis and over the whole grid; a
-#: config past it is a config error. Rows stay in memory until the sweep
-#: ends. A 200,000-point CSV sweep took about 0.73 KB of peak RSS and 10 to
-#: 12 us per point (CPython 3.11, numpy 2.4, shared 2-vCPU x86-64 Xeon), so
-#: a sweep at the cap peaks near 730 MB and runs for about 12 s.
+#: config past it is a config error. The output stays in memory until the
+#: sweep ends, and a JSON sweep's rows with it. Over 200,000 points a CSV
+#: sweep took 0.27 to 0.33 KB of peak RSS and 4 to 7 us per point, a JSON
+#: sweep 2.35 KB and 26 to 29 us (CPython 3.11, numpy 2.4, shared 2-vCPU
+#: x86-64 Xeon; ``BENCH_16.json``), so at the cap a CSV sweep peaks near
+#: 330 MB and runs for about 7 s, a JSON sweep near 2.4 GB and about 30 s.
 MAX_GRID_POINTS = 1_000_000
 
 #: Output formats of ``run`` and of ``sweep``.
@@ -171,13 +179,13 @@ def result_row(
     }
 
 
-def sweep_rows(cfg: SweepConfig) -> list[dict]:
-    """Evaluate the whole grid in ``grid_points`` order.
+def _batches(cfg: SweepConfig) -> Iterator[_BatchColumns]:
+    """``scheme._run_batch``'s result columns for the whole grid, chunk by
+    chunk in ``grid_points`` order.
 
     Each side's inputs are built once per (p, phase) pair of its own axes,
     into one list, and each grid point names its two inputs by position in
-    that list; on the diagonal input 2 is input 1. ``scheme._run_batch``
-    evaluates the points, bit-identical to ``run_scheme`` per point.
+    that list; on the diagonal input 2 is input 1.
     """
     p1s, h1s = cfg.p1.points(), cfg.phase1.points()
     states = [input_from_probability(p, h) for p in p1s for h in h1s]
@@ -188,11 +196,17 @@ def sweep_rows(cfg: SweepConfig) -> list[dict]:
         first = len(states)
         states += [input_from_probability(p, h) for p in p2s for h in h2s]
         index = _grid_index(len(p1s), len(p2s), len(h1s), len(h2s), first)
+    return _run_batch(states, index)
+
+
+def sweep_rows(cfg: SweepConfig) -> list[dict]:
+    """Evaluate the whole grid in ``grid_points`` order, one row dict per
+    point, bit-identical to ``run_point`` per point."""
     rows = []
     points = grid_points(cfg)
-    for res in _run_batch(states, index):
-        # result_row's layout, written out: a call per row would cost about
-        # 5% of a CSV sweep. TestEquivalence holds the two equal by repr.
+    for res in _batches(cfg):
+        # result_row's layout, written out to save a call per row.
+        # TestEquivalence holds the two equal by repr.
         rows += [
             {
                 "p1": p1,
@@ -217,6 +231,34 @@ def sweep_rows(cfg: SweepConfig) -> list[dict]:
     return rows
 
 
+def sweep_csv(cfg: SweepConfig) -> str:
+    """The grid's CSV table, byte-identical to
+    ``rows_to_csv(sweep_rows(cfg))``, formatted from the batch's columns.
+
+    Each axis value is formatted once, and each grid point's
+    ``p1,p2,phase1,phase2`` cells are joined once, in grid order.
+    """
+    cells: dict[float, str] = {}
+    p1, h1 = [_formatted(r.points(), cells) for r in (cfg.p1, cfg.phase1)]
+    if cfg.diagonal:
+        axes = itertools.product([f"{c},{c}" for c in p1], [f"{c},{c}" for c in h1])
+    else:
+        p2, h2 = [_formatted(r.points(), cells) for r in (cfg.p2, cfg.phase2)]
+        axes = itertools.product(p1, p2, h1, h2)
+    prefixes = map(",".join, axes)
+    blocks = [CSV_HEADER]
+    for res in _batches(cfg):
+        results = (res.theta, res.phi, res.p_success, res.output_fidelity)
+        blocks.append(
+            _csv_block(
+                [itertools.islice(prefixes, len(res.theta))],
+                [column.tolist() for column in results],
+                res.degenerate.tolist(),
+            )
+        )
+    return "\n".join(blocks) + "\n"
+
+
 def fmt(x: float) -> str:
     """Deterministic decimal form: 12 significant digits, lowercase
     scientific below 1e-4, plain 0 for zero."""
@@ -227,23 +269,44 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+#: The degenerate column's cells, indexed by the flag.
+_FLAG_CELLS = ("false", "true")
+
+
+def _formatted(column: Sequence[float], cells: dict[float, str]) -> Iterator[str]:
+    """``fmt`` of each value, read from ``cells``, which first gains every
+    value of ``column`` it lacks. Equal floats share a cell, which is
+    exact: only 0.0 and -0.0 are equal with different bits, and ``fmt``
+    gives both "0". A NaN matches only itself, by identity."""
+    for x in set(column).difference(cells):
+        cells[x] = fmt(x)
+    return map(cells.__getitem__, column)
+
+
+def _csv_block(
+    leading: list[Iterable[str]], numbers: list[list[float]], degenerate: list[bool]
+) -> str:
+    """CSV lines, without the last newline: per line, the ``leading``
+    cells as given, each column of ``numbers`` through ``fmt``, then the
+    degenerate flag.
+
+    The cells of ``numbers`` are memoized per block, not per sweep: a
+    sweep-wide memo would hold every distinct result until the sweep
+    ends, while repeats (theta across phases, phi across p) mostly fall
+    within one block."""
+    cells: dict[float, str] = {}
+    columns = [_formatted(column, cells) for column in numbers]
+    flags = map(_FLAG_CELLS.__getitem__, degenerate)
+    return "\n".join(map(",".join, zip(*leading, *columns, flags)))
+
+
 def rows_to_csv(rows: list[dict]) -> str:
-    # fmt depends on the value alone, so each axis value is formatted once
-    # per call; equal keys (0.0 and -0.0 too) share a cell.
-    axis_cells: dict[float, str] = {}
-    lines = [CSV_HEADER]
-    for row in rows:
-        cells = []
-        for name in _AXIS_FIELDS:
-            x = row[name]
-            cell = axis_cells.get(x)
-            if cell is None:
-                cell = axis_cells[x] = fmt(float(x))
-            cells.append(cell)
-        cells += [fmt(float(row[name])) for name in _RESULT_FIELDS]
-        cells.append("true" if row["degenerate"] else "false")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """The CSV table of row dicts, through ``sweep_csv``'s line builder."""
+    if not rows:
+        return CSV_HEADER + "\n"
+    numbers = [[float(row[name]) for row in rows] for name in _AXIS_FIELDS + _RESULT_FIELDS]
+    degenerate = [bool(row["degenerate"]) for row in rows]
+    return CSV_HEADER + "\n" + _csv_block([], numbers, degenerate) + "\n"
 
 
 def rows_to_json(rows: list[dict]) -> str:

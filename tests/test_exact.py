@@ -1,0 +1,130 @@
+"""The exact rational success probability, and how close the float routes
+come to it.
+
+``EXACT_REL_TOL`` was set from a measurement: on the default and phase
+grids below the worst relative error was 4.2e-15 for ``run_scheme`` and
+the sweep batch and 4.62e-15 for ``closed_form_success`` (about 21 machine epsilons),
+so the bound leaves a margin of a little over 2x.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from photonpurify import (
+    OutOfRange,
+    closed_form_success,
+    exact_success,
+    input_from_probability,
+    run_scheme,
+)
+from photonpurify.sweep import RangeSpec, SweepConfig, sweep_rows
+
+EXACT_REL_TOL = 1e-14
+
+PI = math.pi
+GRIDS = {
+    "default": SweepConfig(p1=RangeSpec(0.0, 1.0, 11), p2=RangeSpec(0.0, 1.0, 11)),
+    "phase-grid": SweepConfig(
+        p1=RangeSpec(0.0, 1.0, 21),
+        p2=RangeSpec(0.0, 1.0, 21),
+        phase1=RangeSpec(-PI, PI, 4),
+        phase2=RangeSpec(-PI, PI, 4),
+    ),
+}
+
+
+def relative_error(got: float, exact: Fraction) -> float:
+    return float(abs(Fraction(got) - exact) / exact)
+
+
+class TestExactSuccess:
+    def test_is_a_fraction(self):
+        assert isinstance(exact_success(0.3, 0.6), Fraction)
+
+    def test_balanced_half_inputs(self):
+        assert exact_success(0.5, 0.5) == Fraction(1, 16)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.7, 1.0])
+    def test_identical_inputs_give_quarter_square(self, p):
+        assert exact_success(p, p) == Fraction(p) ** 2 / 4
+
+    def test_formula_off_the_diagonal(self):
+        # x = 0.1 * 0.5 = 1/20, y = 0.5 * 0.9 = 9/20 on the exact binary
+        # values; P = p1 p2 x y / (x + y)^2.
+        p1, p2 = Fraction(0.1), Fraction(0.5)
+        x, y = p1 * (1 - p2), p2 * (1 - p1)
+        assert exact_success(0.1, 0.5) == p1 * p2 * x * y / (x + y) ** 2
+        assert exact_success(0.1, 0.5) == exact_success(0.5, 0.1)
+
+    @pytest.mark.parametrize("p1, p2", [(0.0, 0.4), (0.4, 0.0), (1.0, 0.4), (0.4, 1.0), (0.0, 1.0)])
+    def test_an_input_that_is_fock_heralds_nothing(self, p1, p2):
+        assert exact_success(p1, p2) == 0
+
+    def test_vacuous_corner_is_quarter_product(self):
+        # x = y = 0 where both inputs are |1>, or both are vacuum.
+        assert exact_success(1.0, 1.0) == Fraction(1, 4)
+        assert exact_success(0.0, 0.0) == 0
+
+    @pytest.mark.parametrize("p1, p2", [(-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5)])
+    def test_rejects_probabilities_outside_unit_interval(self, p1, p2):
+        with pytest.raises(OutOfRange):
+            exact_success(p1, p2)
+
+
+@pytest.fixture(scope="module", params=sorted(GRIDS))
+def grid(request):
+    rows = sweep_rows(GRIDS[request.param])
+    return [(row, exact_success(row["p1"], row["p2"])) for row in rows]
+
+
+def inputs(row):
+    return (
+        input_from_probability(row["p1"], row["phase1"]),
+        input_from_probability(row["p2"], row["phase2"]),
+    )
+
+
+class TestAgainstExact:
+    def test_run_scheme_within_bound(self, grid):
+        for row, exact in grid:
+            got = run_scheme(*inputs(row)).p_success
+            if exact == 0:
+                assert got == 0, row
+            else:
+                assert relative_error(got, exact) <= EXACT_REL_TOL, row
+
+    def test_batch_within_bound(self, grid):
+        for row, exact in grid:
+            if exact == 0:
+                assert row["p_success"] == 0, row
+            else:
+                assert relative_error(row["p_success"], exact) <= EXACT_REL_TOL, row
+
+    def test_closed_form_within_bound(self, grid):
+        for row, exact in grid:
+            if exact != 0:
+                assert relative_error(closed_form_success(*inputs(row)), exact) <= EXACT_REL_TOL, row
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="closed_form_success rebuilds cos(theta) from theta = pi/2, about 6e-17, "
+        "so it returns about 1e-34 where the exact success is 0 (ROADMAP item 2 (d))",
+    )
+    def test_closed_form_is_zero_where_exact_is_zero(self, grid):
+        for row, exact in grid:
+            if exact == 0:
+                assert closed_form_success(*inputs(row)) == 0, row
+
+
+# ROADMAP item 2's reproducers: absolute pruning and the rebuilt stage-1
+# splitter give a wrong p_success, and in the third case a wrong state.
+@pytest.mark.xfail(strict=True, reason="edge accuracy, ROADMAP item 2")
+@pytest.mark.parametrize("p1, p2", [(1e-20, 0.5), (1e-12, 1 - 1e-12), (1 - 7.3e-15, 1.35e-14)])
+def test_edge_pairs_match_exact(p1, p2):
+    res = run_scheme(input_from_probability(p1, 0.3), input_from_probability(p2, -1.1))
+    exact = exact_success(p1, p2)
+    assert exact > 0
+    assert relative_error(res.p_success, exact) <= EXACT_REL_TOL
+    assert res.output_fidelity >= 1 - 1e-10

@@ -1,9 +1,12 @@
+import functools
+import hashlib
 import json
 import math
 
 import pytest
+from test_golden import PHASE_GRID, PHASE_GRID_CSV_SHA256
 
-from photonpurify import ConfigInvalid, sweep
+from photonpurify import ConfigInvalid, cli, sweep
 from photonpurify.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -16,6 +19,7 @@ from photonpurify.sweep import (
     rows_to_csv,
     rows_to_json,
     run_point,
+    sweep_csv,
     sweep_rows,
 )
 
@@ -50,8 +54,10 @@ SWEEPS = {
 }
 
 
+@functools.cache
 def reference_rows(cfg: SweepConfig) -> list[dict]:
-    # One fresh pair of inputs per grid point.
+    # One fresh pair of inputs per grid point; shared by the tests, which
+    # do not modify it.
     return [result_row(*pt, run_point(*pt)) for pt in grid_points(cfg)]
 
 
@@ -89,6 +95,10 @@ class TestEquivalence:
         _, rows = sweep_case
         assert rows_to_csv(rows) == reference_csv(rows)
 
+    def test_columnar_csv_equals_per_cell_formula(self, sweep_case):
+        cfg, _ = sweep_case
+        assert sweep_csv(cfg) == reference_csv(reference_rows(cfg))
+
     def test_json_equals_json_dumps(self, sweep_case):
         _, rows = sweep_case
         assert rows_to_json(rows) == json.dumps(rows, indent=2) + "\n"
@@ -119,8 +129,42 @@ def test_each_input_is_built_once(monkeypatch, name, builds):
         return real(p, phase)
 
     monkeypatch.setattr(sweep, "input_from_probability", counting)
-    sweep_rows(SWEEPS[name])
-    assert len(calls) == builds
+    for evaluate in (sweep_rows, sweep_csv):
+        calls.clear()
+        evaluate(SWEEPS[name])
+        assert len(calls) == builds, evaluate.__name__
+
+
+def test_csv_sweep_builds_no_rows(monkeypatch, tmp_path):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a CSV sweep built row dicts")
+
+    # cli holds its own references to the row builders.
+    for module in (sweep, cli):
+        monkeypatch.setattr(module, "sweep_rows", no_rows)
+        monkeypatch.setattr(module, "result_row", no_rows)
+    cfg, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+    cfg.write_text(json.dumps(PHASE_GRID))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PHASE_GRID_CSV_SHA256
+
+
+def test_memoized_cells_equal_fmt():
+    # Signed zeros share a memo key and each NaN object is its own; the
+    # values straddle fmt's switch to scientific form at 1e-4, and the
+    # columns share one memo.
+    values = [
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+        1e-4, math.nextafter(1e-4, 0.0), -1e-4, math.nextafter(-1e-4, 0.0),
+        0.25, 1e-4, -0.0, 0.0, math.nan,
+    ]
+    columns = [values, values[::-1], [abs(v) for v in values]]
+    degenerate = [k % 3 == 0 for k in range(len(values))]
+    want = [
+        ",".join([*map(fmt, cells), "true" if flag else "false"])
+        for *cells, flag in zip(*columns, degenerate)
+    ]
+    assert sweep._csv_block([], columns, degenerate).split("\n") == want
 
 
 class TestGridCap:
