@@ -2,11 +2,11 @@
 
 A state is a map from occupation tuples ``(n_0, ..., n_{M-1})`` to complex
 amplitudes. The scheme keeps only its heralded output here, one mode and
-at most two basis elements. Its inputs and both stages run on scalars in
-``scheme``, reproducing :func:`tensor`, ``optics.apply``,
-``measurement.condition`` and :func:`normalize` bit for bit; the
-per-amplitude rule, the squared norm and the normalization they share
-are defined once below.
+at most two basis elements. Its inputs and both stages run in ``scheme``,
+on scalars and on a sweep's lanes, reproducing :func:`tensor`,
+``optics.apply``, ``measurement.condition`` and :func:`normalize` bit for
+bit; the per-amplitude rule, the squared norm and the normalization they
+share are defined below.
 
 Conventions enforced here:
 
@@ -194,19 +194,23 @@ def normalize(a: StateVector) -> tuple[StateVector, float]:
 
 # The helpers below are the per-amplitude rule, the squared norm and the
 # normalization shared by StateVector, InputState, normalize and the
-# scalar stages in ``scheme``.
+# stages in ``scheme``.
 # They stay private so that tracing the package's public layers does not
 # wrap a call per amplitude.
 
 
-def _stored(z: complex) -> complex:
-    """``z`` as a StateVector stores it, with 0j for a pruned amplitude.
-
-    Raises ValueError if ``z`` is not finite.
-    """
-    if not cmath.isfinite(z):
+def _stored(z: complex, take=None) -> complex:
+    """``z`` as a StateVector stores it, with 0j for a pruned amplitude: the
+    prune and finiteness rule. A non-finite ``z`` (whose abs is inf or NaN)
+    raises ValueError, unless ``take(z, finite, kept)`` is given to act on
+    the two decisions, as ``scheme``'s sweep batch does per lane."""
+    h = abs(z)
+    finite, kept = h < math.inf, h >= PRUNE_THRESHOLD
+    if take is not None:
+        return take(z, finite, kept)
+    if not finite:
         raise ValueError(f"non-finite amplitude {z!r}")
-    return z if abs(z) >= PRUNE_THRESHOLD else 0j
+    return z if kept else 0j
 
 
 def _squared_norm(amps) -> float:

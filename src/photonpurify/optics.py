@@ -40,13 +40,12 @@ in ``scheme``'s batch), so each permanent equals the kernel's bit for
 bit. :func:`permanent` on a single matrix, and ``apply`` on a sector
 with a single transition, keep the scalar kernel, which reads the matrix
 once with ``tolist``; a stack of one costs far more.
-The scheme calls neither ``apply`` nor
-``beamsplitter``: its states hold at most two photons, and ``scheme``
-evaluates them on scalars with the same arithmetic, taking each splitter
-from :func:`beamsplitter_matrix` with a scalar unitarity check.
-``beamsplitter`` and ``apply`` are the general engine that the scheme's
-tests compare against and that ``verify`` checks; only those oracle
-checks reach the permanents.
+The scheme calls neither ``apply`` nor ``beamsplitter``: its states hold
+at most two photons, and its stages take each splitter's entries and
+unitarity defects from the helpers behind :func:`beamsplitter_matrix`,
+on scalars and on the sweep's lanes. ``beamsplitter`` and ``apply`` are
+the general engine that the scheme's tests compare against and that
+``verify`` checks; only those oracle checks reach the permanents.
 """
 
 from __future__ import annotations
@@ -120,12 +119,29 @@ class InterferometerUnitary:
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-def _splitter_entries(params: BeamSplitterParams) -> Matrix2:
-    # The splitter's formula, written once for both forms below.
-    c = complex(math.cos(params.theta))
-    s = math.sin(params.theta)
-    ph = cmath.exp(1j * params.phi)
+def _splitter_formula(c, s, ph) -> Matrix2:
+    # The splitter's entries from cos(theta) as a complex, sin(theta) and
+    # e^{i phi}: written once for both forms below and for the sweep
+    # batch's lanes in ``scheme``.
     return ((c, ph * s), (-s / ph, c))
+
+
+def _splitter_entries(params: BeamSplitterParams) -> Matrix2:
+    theta, phi = params.theta, params.phi
+    return _splitter_formula(complex(math.cos(theta)), math.sin(theta), cmath.exp(1j * phi))
+
+
+def _unitarity_defects(m) -> tuple:
+    # |U^dag U - I| entry by entry, for a 2x2 matrix of nested rows of
+    # complex scalars or of the sweep batch's lanes.
+    (a, b), (c, d) = m
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    return (
+        abs(ac * a + cc * c - 1.0),
+        abs(ac * b + cc * d),
+        abs(bc * a + dc * c),
+        abs(bc * b + dc * d - 1.0),
+    )
 
 
 def check_unitary_2x2(m: Matrix2) -> None:
@@ -135,15 +151,7 @@ def check_unitary_2x2(m: Matrix2) -> None:
     The scalar counterpart of ``InterferometerUnitary``'s check, with the
     same tolerance; an entry that is NaN fails.
     """
-    (a, b), (c, d) = m
-    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    defects = (
-        abs(ac * a + cc * c - 1.0),
-        abs(ac * b + cc * d),
-        abs(bc * a + dc * c),
-        abs(bc * b + dc * d - 1.0),
-    )
-    for defect in defects:
+    for defect in _unitarity_defects(m):
         if not defect <= UNITARITY_TOL:
             raise NotUnitary(
                 f"|U^dag U - I| entry {defect:.3e} exceeds {UNITARITY_TOL:.0e}"

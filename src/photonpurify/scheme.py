@@ -28,41 +28,35 @@ The joint success probability reduces to |b1 b2|^2 sin^2(theta)
 cos^2(theta), which is p^2/4 for identical inputs with one-photon
 probability p.
 
-The circuit runs on complex scalars from the inputs to the herald: one
-straight-line private function per stage does the work of
+Each stage is written once, as plain Python operators, in ``_stage_one``
+and ``_stage_two``: one straight-line function doing the work of
 ``fock.tensor``, ``optics.apply``, ``measurement.condition`` and
 ``fock.normalize``. It forms only the products that can be nonzero and
 skips those with an exact 0j, which can change only the sign of a zero
 that the projection then clears, so every result is bit-identical to the
-generic engine's. ``run_scheme`` and ``stage_two`` share the stage-2
-function. Every amplitude passes ``StateVector``'s prune and finiteness
-rule as a scalar (an ``InputState`` is already finite and of unit norm,
-so no input vanishes), each splitter passes a scalar unitarity check,
-and only the heralded output becomes a ``StateVector``. The generic
-engine stays the reference the tests compare against.
+generic engine's, the reference the tests compare against.
 
-Sweeps evaluate their pairs through ``_run_batch``, which reproduces
-``run_scheme`` bit for bit on float64 numpy arrays, ``_BATCH_CHUNK``
-pairs at a time. The rules that keep the bits:
+``run_scheme`` and ``stage_two`` run the stages on complex scalars, and
+only the heralded output becomes a ``StateVector``. Sweeps run them
+through ``_run_batch``, ``_BATCH_CHUNK`` pairs at a time, on ``_Lanes``:
+one complex per pair, held as float64 arrays of parts. The lane rules
+that keep ``run_scheme``'s bits:
 
-* each complex operation is written as float64 ufuncs in CPython
-  3.10-3.12's own order: ``_Py_c_prod`` for products and both Smith
-  branches of ``_Py_c_quot``, chosen per lane, for quotients. A float
-  operand is promoted to (x, 0.0) as CPython promotes it, the ``0j +``
-  adds stay (they clear the sign of a zero), and ``abs`` is ``np.hypot``;
-* atan, atan2, cos, sin and exp run per element through ``math`` and
-  ``cmath``, whose results numpy's own versions do not reproduce;
-* squares run per element as ``x ** 2``, libm's ``pow``, like
-  ``fock._squared_norm``; numpy squares by multiplying, which glibc's
-  ``pow`` does not always match;
-* per-point branches (t1 == 0, t2 == 0, nothing heralded) become masks.
+* ``_Lanes`` does complex arithmetic in CPython 3.10-3.12's order;
+* atan, atan2, cos, sin, exp and the squares (``x ** 2``, libm's
+  ``pow``) run per element through Python floats, since numpy's own
+  versions do not always give libm's bits;
+* per-pair branches (t1 == 0, t2 == 0, nothing heralded) become masks.
 
-Every check of the scalar path (``_stored``'s finiteness and prune rule,
-``check_unitary_2x2``, ``BeamSplitterParams``' ranges, the zero-norm
-floor and ``fidelity``'s norm test) runs on the whole chunk with the
-owning module's constant. A chunk with a failing pair re-runs its first
-one through ``run_scheme``, which raises that pair's error. A single
-pair stays on the scalar path, which costs far less than a batch of one.
+A rules object holds what a scalar run raises on and a batch flags per
+lane: ``_ScalarRules`` raises, ``_LaneRules`` sets its ``failed`` mask.
+Both prune through ``fock._stored`` and normalize as ``fock.normalize``
+does; the lanes also check the splitter's ranges, its unitarity through
+``optics``' own defects, and ``fidelity``'s norm. Every constant is read
+from its owning module when it is used. A chunk with a failing pair
+re-runs its first one through ``run_scheme``, which raises that pair's
+error. A single pair stays on the scalar path, which costs far less than
+a batch.
 """
 
 from __future__ import annotations
@@ -74,11 +68,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
+from . import fock, optics
 from .errors import OutOfRange, PurityViolated
 from .fock import (
-    NORM_TOL,
-    PRUNE_THRESHOLD,
-    _ZERO_NORM_FLOOR,
     InputState,
     StateVector,
     _squared_norm,
@@ -87,7 +79,7 @@ from .fock import (
     fidelity,
     fock_state,
 )
-from .optics import UNITARITY_TOL, BeamSplitterParams, beamsplitter_matrix
+from .optics import BeamSplitterParams, _splitter_formula, _unitarity_defects, beamsplitter_matrix
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -102,12 +94,6 @@ _STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
 _STAGE_TWO_MATRIX = beamsplitter_matrix(_STAGE_TWO_OPTIMUM)
 _ONE_PHOTON = fock_state((1,))
 _SQRT2 = math.sqrt(2.0)
-# The parts of that matrix _stage_two reads, as (real, imag) pairs for
-# the batch: m11, and m01 * m11 + m01 * m11 formed as _stage_two forms it.
-(_, _m01), (_, _m11) = _STAGE_TWO_MATRIX
-_pair = _m01 * _m11 + _m01 * _m11
-_STAGE_TWO_M11 = (_m11.real, _m11.imag)
-_STAGE_TWO_PAIR = (_pair.real, _pair.imag)
 
 #: Degenerate reason codes, reported in this order.
 NO_PHOTON_PAIR = "no-photon-pair"
@@ -194,46 +180,40 @@ def stage_two(
         raise PurityViolated(
             f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
         )
-    _, c_amps = _normalized((complex(c.c0), 0j, complex(c.c2)))
-    if c_amps is None:
+    alive, _, amps = _ScalarRules.normalized((complex(c.c0), 0j, complex(c.c2)))
+    if not alive:
         return 0.0, None
-    return _stage_two(c_amps, beamsplitter_matrix(bs2))
+    heralded, p, amps = _stage_two(_ScalarRules, amps, beamsplitter_matrix(bs2))
+    return p, _herald(amps) if heralded else None
 
 
-def _normalized(amps) -> tuple[float, list[complex] | None]:
-    # normalize(StateVector(1, amps)) on scalars: (squared norm, unit-norm
-    # amplitudes with 0j where StateVector stores none), or (0.0, None)
-    # when no amplitude survives pruning.
-    kept = [_stored(z) for z in amps]
-    if not any(kept):
-        return 0.0, None
-    scaled, n2 = _unit_amplitudes(kept)
-    return n2, scaled
-
-
-def _stage_one(in1: InputState, in2: InputState, m) -> tuple[float, list[complex] | None]:
-    """``tensor``, ``apply`` (U's rows ``m``) and ``condition`` on no photon
-    at mode 1, on scalars: (probability, the normalized (|0>, |1>, |2>)
-    amplitudes of mode 0, or None).
+def _stage_one(rules, alpha1, beta1, alpha2, beta2, m):
+    """``tensor`` of the inputs, ``apply`` (U's rows ``m``) and
+    ``condition`` on no photon at mode 1: ``rules.normalized`` of mode 0's
+    (|0>, |1>, |2>) amplitudes, that is (alive, probability, unit
+    amplitudes).
 
     Bit-identical to that route although it skips the products with the
     second input's |2> amplitude, an exact 0j: each skipped term can change
     only the sign of a zero, and the projection's ``0j +`` clears that sign
     before pruning.
     """
+    stored = rules.stored
     # tensor: StateVector drops the small inputs and products.
-    a0, a1, b0, b1 = [_stored(z) for z in (in1.alpha, in1.beta, in2.alpha, in2.beta)]
-    e00, e01, e10, e11 = [_stored(z) for z in (a0 * b0, a0 * b1, a1 * b0, a1 * b1)]
+    a0, a1, b0, b1 = stored(alpha1), stored(beta1), stored(alpha2), stored(beta2)
+    e00, e01, e10, e11 = stored(a0 * b0), stored(a0 * b1), stored(a1 * b0), stored(a1 * b1)
     (m00, m01), _ = m
     # apply: the two-photon permanent written out, weighted by 1/sqrt(2!).
-    out = (e00, e01 * m01 + e10 * m00, e11 * (m00 * m01 + m01 * m00) / _SQRT2)
-    return _normalized([0j + z for z in out])
+    c1 = e01 * m01 + e10 * m00
+    c2 = e11 * (m00 * m01 + m01 * m00) / _SQRT2
+    return rules.normalized((0j + e00, 0j + c1, 0j + c2))
 
 
-def _stage_two(amps, m) -> tuple[float, StateVector | None]:
+def _stage_two(rules, amps, m):
     """``tensor`` of the vacuum ancilla (mode 0) with the normalized mode
     ``amps`` (mode 1), ``apply`` (U's rows ``m``) and ``condition`` on one
-    photon at mode 1, on scalars: (probability, heralded state or None).
+    photon at mode 1: ``rules.normalized`` of mode 0's (|0>, |1>)
+    amplitudes.
 
     Bit-identical to that route although it skips the products with the
     ancilla's |1> amplitude, an exact 0j, and the factor of its unit |0>
@@ -243,24 +223,41 @@ def _stage_two(amps, m) -> tuple[float, StateVector | None]:
     """
     _, r1, r2 = amps
     (_, m01), (_, m11) = m
-    out = (r1 * m11, r2 / _SQRT2 * (m01 * m11 + m01 * m11))
-    p, scaled = _normalized([0j + z for z in out])
-    if scaled is None:
-        return p, None
-    return p, StateVector(1, {(n,): z for n, z in enumerate(scaled) if z})
+    return rules.normalized((0j + r1 * m11, 0j + r2 / _SQRT2 * (m01 * m11 + m01 * m11)))
 
 
-def _degenerate_reasons(
-    in1: InputState, in2: InputState, vacuous: bool
-) -> tuple[str, ...]:
-    reasons = []
-    if in1.beta * in2.beta == 0:
-        reasons.append(NO_PHOTON_PAIR)
-    if in1.alpha * in2.alpha == 0:
-        reasons.append(NO_VACUUM_AMPLITUDE)
-    if vacuous:
-        reasons.append(CANCELLATION_VACUOUS)
-    return tuple(reasons)
+def _reason_code(alpha1, beta1, alpha2, beta2, vacuous):
+    # The degenerate reasons as a bit code into _REASONS_BY_CODE: 1 no
+    # photon pair, 2 no vacuum amplitude, 4 vacuous cancellation.
+    return (beta1 * beta2 == 0) + (alpha1 * alpha2 == 0) * 2 + vacuous * 4
+
+
+_REASONS = (NO_PHOTON_PAIR, NO_VACUUM_AMPLITUDE, CANCELLATION_VACUOUS)
+_REASONS_BY_CODE = tuple(
+    tuple(reason for bit, reason in enumerate(_REASONS) if code >> bit & 1) for code in range(8)
+)
+
+
+class _ScalarRules:
+    """The stages' rules on complex scalars: a failed check raises."""
+
+    stored = staticmethod(_stored)
+
+    @staticmethod
+    def normalized(amps):
+        # normalize(StateVector(1, amps)): (True, the squared norm, the
+        # unit-norm amplitudes with 0j where StateVector stores none), or
+        # (False, 0.0, the pruned zeros) when no amplitude survives.
+        kept = [_stored(z) for z in amps]
+        if not any(kept):
+            return False, 0.0, kept
+        scaled, n2 = _unit_amplitudes(kept)
+        return True, n2, scaled
+
+
+def _herald(amps) -> StateVector:
+    # The heralded state of stage 2's unit amplitudes.
+    return StateVector(1, {(n,): z for n, z in enumerate(amps) if z})
 
 
 def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
@@ -271,12 +268,10 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     photons. Stage 2 then puts the vacuum ancilla on mode 0 and the
     conditioned mode on mode 1; Lambda' acts on that pair and the stage-2
     detector watches mode 1 for one photon. No state holds more than two
-    photons, so each stage is one function on complex scalars (see the
-    module docstring) rather than the generic ``tensor``, ``apply``,
-    ``condition`` and ``normalize`` route; it forms fewer products than
-    that route but reproduces its results bit for bit. Only the heralded
-    output is built as a ``StateVector``.
-    p_success is the joint probability of both outcomes.
+    photons, so each stage is one straight-line function (see the module
+    docstring), bit-identical to the generic ``tensor``, ``apply``,
+    ``condition`` and ``normalize`` route. p_success is the joint
+    probability of both outcomes.
 
     Lambda' is the analytic optimum, a 50/50 splitter; for any other
     Lambda' use ``stage_two(stage_one_coefficients(in1, in2, lambda1),
@@ -284,21 +279,19 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     honestly computed probabilities.
     """
     params, vacuous = solve_cancellation(in1, in2)
-    reasons = _degenerate_reasons(in1, in2, vacuous)
-
-    p1, amps1 = _stage_one(in1, in2, beamsplitter_matrix(params))
-    if amps1 is None:
-        p2, state = 0.0, None
-    else:
-        p2, state = _stage_two(amps1, _STAGE_TWO_MATRIX)
-    fid = 0.0 if state is None else fidelity(state, _ONE_PHOTON)
+    a1, b1, a2, b2 = in1.alpha, in1.beta, in2.alpha, in2.beta
+    reasons = _REASONS_BY_CODE[_reason_code(a1, b1, a2, b2, vacuous)]
+    # A stage 1 that heralds nothing leaves zeros, which herald nothing.
+    _, p1, amps = _stage_one(_ScalarRules, a1, b1, a2, b2, beamsplitter_matrix(params))
+    heralded, p2, amps = _stage_two(_ScalarRules, amps, _STAGE_TWO_MATRIX)
+    state = _herald(amps) if heralded else None
     return SchemeResult(
         lambda1=params,
         lambda2=_STAGE_TWO_OPTIMUM,
         stage_one_probability=p1,
         stage_two_probability=p2,
         p_success=p1 * p2,
-        output_fidelity=fid,
+        output_fidelity=fidelity(state, _ONE_PHOTON) if heralded else 0.0,
         degenerate=bool(reasons),
         degenerate_reasons=reasons,
         output_state=state,
@@ -307,17 +300,6 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
 
 #: Pairs per vectorized pass of ``_run_batch``; bounds its temporaries.
 _BATCH_CHUNK = 2048
-
-# Degenerate reasons by bit code: 1 no photon pair, 2 no vacuum amplitude,
-# 4 vacuous cancellation, in _degenerate_reasons' order.
-_REASONS_BY_CODE = tuple(
-    tuple(
-        reason
-        for bit, reason in ((1, NO_PHOTON_PAIR), (2, NO_VACUUM_AMPLITUDE), (4, CANCELLATION_VACUOUS))
-        if code & bit
-    )
-    for code in range(8)
-)
 
 
 class _BatchColumns(NamedTuple):
@@ -347,7 +329,7 @@ def _run_batch(states, index) -> Iterator[_BatchColumns]:
     ``states`` is a sequence of ``InputState``; row k of the integer array
     ``index`` (shape (n, 2)) names pair k, ``(states[index[k, 0]],
     states[index[k, 1]])``. Pairs are evaluated ``_BATCH_CHUNK`` at a time
-    on float64 arrays (the module docstring gives the rules that keep the
+    on ``_Lanes`` (the module docstring gives the rules that keep the
     bits), and each chunk yields its results, whose ``tolist()`` values
     equal ``run_scheme``'s fields by ``repr``. Every check of the scalar
     path runs on the whole chunk; when one fails, the chunk's first
@@ -375,45 +357,137 @@ def _grid_index(n_p1: int, n_p2: int, n_h1: int, n_h2: int, second: int = 0) -> 
     return np.column_stack((i1 * n_h1 + j1, second + i2 * n_h2 + j2))
 
 
-# Complex arithmetic on (real, imag) pairs of float64 arrays or floats, in
-# CPython 3.10-3.12's order; a float operand of a complex operation is
-# written as (x, 0.0), as CPython promotes it.
+class _Lanes:
+    """One complex number per lane of a batch, held as float64 arrays (or
+    floats) of real and imaginary parts.
+
+    ``+ - * /``, unary minus, ``abs``, ``conjugate`` and ``==`` give every
+    lane the bits that CPython 3.10-3.12 gives the same operation on
+    complexes: ``_Py_c_prod`` for products, and both Smith branches of
+    ``_Py_c_quot``, chosen per lane, for quotients. A float, ndarray or
+    complex operand on either side is promoted to a lane value, a real x
+    to (x, 0.0) as CPython promotes it. ``abs`` is ``np.hypot``, which
+    equals ``_Py_c_abs`` wherever that does not raise OverflowError.
+    ``__array_ufunc__ = None`` makes numpy defer to the reflected methods.
+    """
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None
+
+    def __init__(self, re, im=0.0):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(x) -> _Lanes:
+        # A float, ndarray or complex: a real's .imag is 0.0.
+        return x if isinstance(x, _Lanes) else _Lanes(x.real, x.imag)
+
+    def __add__(self, other):
+        o = _Lanes.of(other)
+        return _Lanes(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, other):
+        o = _Lanes.of(other)
+        return _Lanes(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return _Lanes.of(other) - self
+
+    def __mul__(self, other):
+        # _Py_c_prod
+        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
+        return _Lanes(ar * o.re - ai * o.im, ar * o.im + ai * o.re)
+
+    # IEEE-754 sums and products commute, signed zeros included.
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other):
+        # _Py_c_quot: Smith's method, scaling by the larger part of the
+        # divisor. Both branches are evaluated and each lane keeps its own.
+        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
+        br, bi = np.asarray(o.re, dtype=float), np.asarray(o.im, dtype=float)
+        by_real = np.abs(br) >= np.abs(bi)
+        ratio = bi / br
+        denom = br + bi * ratio
+        real = np.where(by_real, (ar + ai * ratio) / denom, 0.0)
+        imag = np.where(by_real, (ai - ar * ratio) / denom, 0.0)
+        ratio = br / bi
+        denom = br * ratio + bi
+        real = np.where(by_real, real, (ar * ratio + ai) / denom)
+        imag = np.where(by_real, imag, (ai * ratio - ar) / denom)
+        return _Lanes(real, imag)
+
+    def __rtruediv__(self, other):
+        return _Lanes.of(other) / self
+
+    def __neg__(self):
+        return _Lanes(-self.re, -self.im)
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    def conjugate(self):
+        return _Lanes(self.re, -self.im)
+
+    def __eq__(self, other):
+        o = _Lanes.of(other)
+        return (self.re == o.re) & (self.im == o.im)
+
+    def where(self, keep) -> _Lanes:
+        """The lanes where ``keep``, 0.0 elsewhere."""
+        return _Lanes(np.where(keep, self.re, 0.0), np.where(keep, self.im, 0.0))
 
 
-def _add(a, b):
-    return a[0] + b[0], a[1] + b[1]
+class _LaneRules:
+    """The stages' rules on ``_Lanes``: a check that raises on scalars
+    sets ``failed`` on the lanes where it fails instead."""
 
+    def __init__(self, n: int):
+        self.failed = np.zeros(n, dtype=bool)
 
-def _sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
+    def take(self, z, finite, kept):
+        # fock._stored's decisions per lane.
+        self.failed |= ~finite
+        return z.where(kept)
 
+    def stored(self, z):
+        return _stored(z, self.take)
 
-def _mul(a, b):
-    # _Py_c_prod
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
+    def normalized(self, amps):
+        # _ScalarRules.normalized per lane: alive is a mask, the squares are
+        # libm's pow per element, and the zero-norm floor sets failed.
+        kept = [self.stored(z) for z in amps]
+        sizes = [abs(z) for z in kept]
+        alive = np.logical_or.reduce([h != 0 for h in sizes])
+        n2 = 0.0
+        for h in sizes:
+            n2 = n2 + _squares(h)
+        self.failed |= alive & (n2 <= fock._ZERO_NORM_FLOOR)
+        # A lane where nothing survives scales its zeros by 1.0.
+        scale = 1.0 / np.sqrt(np.where(alive, n2, 1.0))
+        return alive, n2, [self.stored(z * scale) for z in kept]
 
+    def splitter(self, theta, phi):
+        # beamsplitter_matrix(BeamSplitterParams(theta, phi)) per lane,
+        # with BeamSplitterParams' ranges, where NaN fails.
+        self.failed |= ~((theta >= 0.0) & (theta <= math.pi / 2) & (phi >= -math.pi) & (phi <= math.pi))
+        ph = np.fromiter(map(cmath.exp, [1j * x for x in phi.tolist()]), complex, len(phi))
+        c = _Lanes(_per_element(math.cos, theta))
+        m = _splitter_formula(c, _per_element(math.sin, theta), _Lanes(ph.real, ph.imag))
+        for defect in _unitarity_defects(m):
+            self.failed |= ~(defect <= optics.UNITARITY_TOL)
+        return m
 
-def _div(a, b):
-    # _Py_c_quot: Smith's method, scaling by the larger part of b. Both
-    # branches are evaluated and each lane keeps its own.
-    (ar, ai), (br, bi) = a, np.asarray(b, dtype=float)
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = bi / br
-    denom = br + bi * ratio
-    real = np.where(by_real, (ar + ai * ratio) / denom, 0.0)
-    imag = np.where(by_real, (ai - ar * ratio) / denom, 0.0)
-    ratio = br / bi
-    denom = br * ratio + bi
-    real = np.where(by_real, real, (ar * ratio + ai) / denom)
-    imag = np.where(by_real, imag, (ai * ratio - ar) / denom)
-    return real, imag
-
-
-def _abs(a):
-    # _Py_c_abs, where the parts are finite and the result does not
-    # overflow (abs raises otherwise).
-    return np.hypot(a[0], a[1])
+    def fidelity(self, heralded, amps):
+        # fidelity(state, |1>) of the heralded state per lane, 0.0 where
+        # nothing is heralded. The state keeps the nonzero amplitudes, and
+        # a pruned one adds an exact 0.0 to its squared norm; |1>'s is 1.0.
+        # |<1|state>| is the |1> amplitude's abs: conj(z) * (1+0j) and 0j +
+        # change at most the sign of a zero part, which hypot ignores.
+        sq0, sq1 = [_squares(abs(z)) for z in amps]
+        na2 = 0.0 + sq0 + sq1
+        self.failed |= heralded & (np.abs(na2 - 1.0) > fock.NORM_TOL)
+        return np.where(heralded, sq1 / na2, 0.0)
 
 
 def _per_element(fn, *args: np.ndarray) -> np.ndarray:
@@ -430,135 +504,49 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stored_v(z, failed, lanes=True):
-    """``fock._stored`` on the lanes the scalar path reaches: flags a
-    non-finite value there in ``failed``, and returns (the stored value,
-    its abs), both 0.0 where it is pruned or outside ``lanes``."""
-    # hypot is not finite exactly where a part is not, or where abs(z)
-    # would overflow; _stored raises in both cases.
-    re, im = z
-    h = _abs(z)
-    failed |= lanes & ~np.isfinite(h)
-    keep = lanes & (h >= PRUNE_THRESHOLD)
-    return (np.where(keep, re, 0.0), np.where(keep, im, 0.0)), np.where(keep, h, 0.0)
-
-
-def _normalized_v(amps, failed, lanes=True):
-    """``_normalized`` on the lanes the scalar path reaches, applied to the
-    ``0j +`` of each amplitude: (lanes where an amplitude survives, the
-    squared norm or 0.0, each unit amplitude as (value, abs))."""
-    kept = [_stored_v(_add((0.0, 0.0), z), failed, lanes) for z in amps]
-    alive = np.logical_or.reduce([h != 0 for _, h in kept])
-    n2 = 0.0
-    for _, h in kept:
-        n2 = n2 + _squares(h)
-    failed |= alive & (n2 <= _ZERO_NORM_FLOOR)
-    scale = (1.0 / np.sqrt(n2), 0.0)
-    scaled = [_stored_v(_mul(z, scale), failed, alive) for z, _ in kept]
-    return alive, np.where(alive, n2, 0.0), scaled
-
-
-def _unitarity_failures(m) -> np.ndarray:
-    # check_unitary_2x2 per lane: True where an entry of U^dag U - I
-    # exceeds UNITARITY_TOL or is NaN.
-    (a, b), (c, d) = m
-    ac, bc, cc, dc = [(re, -im) for re, im in (a, b, c, d)]
-    one = (1.0, 0.0)
-    defects = (
-        _abs(_sub(_add(_mul(ac, a), _mul(cc, c)), one)),
-        _abs(_add(_mul(ac, b), _mul(cc, d))),
-        _abs(_add(_mul(bc, a), _mul(dc, c))),
-        _abs(_sub(_add(_mul(bc, b), _mul(dc, d)), one)),
-    )
-    return np.logical_or.reduce([~(x <= UNITARITY_TOL) for x in defects])
-
-
-def _is_zero(z) -> np.ndarray:
-    return (z[0] == 0) & (z[1] == 0)
-
-
 def _batch_chunk(first, second):
     """One vectorized pass of ``run_scheme``: ``first`` and ``second`` hold
     each pair's (alpha.real, alpha.imag, beta.real, beta.imag) as rows.
     Returns (the result columns ``_run_batch`` yields, a mask of the pairs
-    whose scalar run raises). Each step is a function of its own, as on
-    the scalar path, so that its temporaries are freed when it returns."""
-    alpha1, beta1 = (first[0], first[1]), (first[2], first[3])
-    alpha2, beta2 = (second[0], second[1]), (second[2], second[3])
-    failed = np.zeros(first.shape[1], dtype=bool)
-    theta, phi, vacuous = _solve_cancellation_v(alpha1, beta1, alpha2, beta2, failed)
-    m00, m01 = _splitter_v(theta, phi, failed)
-    alive1, p1, r1, r2 = _stage_one_v(alpha1, beta1, alpha2, beta2, m00, m01, failed)
-    p2, fid = _stage_two_v(r1, r2, alive1, failed)
-    codes = _is_zero(_mul(beta1, beta2)) * 1 + _is_zero(_mul(alpha1, alpha2)) * 2 + vacuous * 4
-    return _BatchColumns(theta, phi, p1, p2, p1 * p2, fid, codes), failed
+    whose scalar run raises)."""
+    rules = _LaneRules(first.shape[1])
+    inputs = [_Lanes(x[k], x[k + 1]) for x in (first, second) for k in (0, 2)]
+    theta, phi, vacuous = _solve_cancellation_lanes(rules, *inputs)
+    _, p1, amps = _stage_one(rules, *inputs, rules.splitter(theta, phi))
+    heralded, p2, amps = _stage_two(rules, amps, _STAGE_TWO_MATRIX)
+    fid = rules.fidelity(heralded, amps)
+    codes = _reason_code(*inputs, vacuous)
+    return _BatchColumns(theta, phi, p1, p2, p1 * p2, fid, codes), rules.failed
 
 
-def _solve_cancellation_v(alpha1, beta1, alpha2, beta2, failed):
-    # solve_cancellation and BeamSplitterParams' ranges: (theta, phi,
-    # vacuous).
-    t1, t2 = _mul(alpha2, beta1), _mul(alpha1, beta2)
-    t1_zero, t2_zero = _is_zero(t1), _is_zero(t2)
+def _solve_cancellation_lanes(rules, alpha1, beta1, alpha2, beta2):
+    # solve_cancellation per lane: (theta, phi, vacuous).
+    t1, t2 = alpha2 * beta1, alpha1 * beta2
+    t1_zero, t2_zero = t1 == 0, t2 == 0
     vacuous = t1_zero & t2_zero
     solved = ~(t1_zero | t2_zero)
-    ratio = _div((-t1[0], -t1[1]), t2)
-    size = _abs(ratio)
+    ratio = -t1 / t2
+    size = abs(ratio)
     # abs(ratio) raises OverflowError where finite parts overflow.
-    failed |= solved & np.isfinite(ratio[0]) & np.isfinite(ratio[1]) & np.isinf(size)
+    rules.failed |= solved & np.isfinite(ratio.re) & np.isfinite(ratio.im) & np.isinf(size)
     theta = np.where(
         solved,
         _per_element(math.atan, size),
         np.where(vacuous, math.pi / 4, np.where(t2_zero, math.pi / 2, 0.0)),
     )
-    phi = np.where(solved, _per_element(math.atan2, ratio[1], ratio[0]), np.where(vacuous, math.pi, 0.0))
-    failed |= ~((theta >= 0.0) & (theta <= math.pi / 2)) | ~((phi >= -math.pi) & (phi <= math.pi))
+    phi = np.where(solved, _per_element(math.atan2, ratio.im, ratio.re), np.where(vacuous, math.pi, 0.0))
     return theta, phi, vacuous
-
-
-def _splitter_v(theta, phi, failed):
-    # beamsplitter_matrix (_splitter_entries and check_unitary_2x2): the
-    # first row, (m00, m01); m11 is m00.
-    c = (_per_element(math.cos, theta), 0.0)
-    s = _per_element(math.sin, theta)
-    ph = np.fromiter(map(cmath.exp, [1j * x for x in phi.tolist()]), complex, len(phi))
-    ph = (ph.real, ph.imag)
-    m01, m10 = _mul(ph, (s, 0.0)), _div((-s, 0.0), ph)
-    failed |= _unitarity_failures(((c, m01), (m10, c)))
-    return c, m01
-
-
-def _stage_one_v(alpha1, beta1, alpha2, beta2, m00, m01, failed):
-    # _stage_one: (heralding lanes, probability, unit |1> and |2>
-    # amplitudes).
-    a0, a1, b0, b1 = [_stored_v(z, failed)[0] for z in (alpha1, beta1, alpha2, beta2)]
-    e00, e01, e10, e11 = [_stored_v(_mul(x, y), failed)[0] for x, y in ((a0, b0), (a0, b1), (a1, b0), (a1, b1))]
-    pair = _add(_mul(m00, m01), _mul(m01, m00))
-    out = (e00, _add(_mul(e01, m01), _mul(e10, m00)), _div(_mul(e11, pair), (_SQRT2, 0.0)))
-    alive, p, (_, (r1, _), (r2, _)) = _normalized_v(out, failed)
-    return alive, p, r1, r2
-
-
-def _stage_two_v(r1, r2, lanes, failed):
-    # _stage_two and fidelity(state, |1>) on the lanes where stage 1
-    # heralds: (probability, fidelity).
-    out = (_mul(r1, _STAGE_TWO_M11), _mul(_div(r2, (_SQRT2, 0.0)), _STAGE_TWO_PAIR))
-    alive, p, ((_, h0), (_, h1)) = _normalized_v(out, failed, lanes)
-    # The state keeps the nonzero amplitudes, and a pruned one adds an
-    # exact 0.0 to its squared norm; |1>'s is 1.0. |<1|state>| is the |1>
-    # amplitude's abs: conj(z) * (1+0j) and 0j + change at most the sign
-    # of a zero part, which hypot ignores.
-    sq0, sq1 = _squares(h0), _squares(h1)
-    na2 = 0.0 + sq0 + sq1
-    failed |= alive & (np.abs(na2 - 1.0) > NORM_TOL)
-    return p, np.where(alive, sq1 / na2, 0.0)
 
 
 def closed_form_success(in1: InputState, in2: InputState) -> float:
     """Analytic joint success |b1 b2|^2 sin^2(theta) cos^2(theta).
 
-    Uses the solved cancellation angle, so it agrees with run_scheme in
-    the degenerate corners too. Validated against the simulation by the
-    acceptance suite before being trusted anywhere else.
+    Uses the solved cancellation angle, rebuilding cos(theta) from it. At
+    theta = pi/2 that is about 6e-17, not 0, so where the exact success is
+    0 this leaves a residue: at p = (1.0, 0.5) with phases 0.3 and -1.1 it
+    returns 1.87e-33 where run_scheme gives 0 (ROADMAP item 2 (d)).
+    Validated against the simulation by the acceptance suite before being
+    trusted anywhere else.
     """
     params, _ = solve_cancellation(in1, in2)
     s = math.sin(params.theta)

@@ -31,6 +31,7 @@ from photonpurify import (
     beamsplitter,
     condition,
     fidelity,
+    fock,
     fock_state,
     input_from_probability,
     input_to_state,
@@ -330,6 +331,18 @@ def test_batch_matches_run_scheme_field_by_field():
     assert {values[5] == 0.0 for values in got} == {True, False}
 
 
+def test_batch_reads_the_prune_threshold_from_fock(monkeypatch):
+    # Patching fock's constant alone moves both paths: at 1e-3 many more
+    # amplitudes are pruned, and the batch still equals run_scheme.
+    pairs = scalar_path_pairs(random.Random(20261019))
+    _, default = batch_and_scalar(pairs)
+    monkeypatch.setattr(fock, "PRUNE_THRESHOLD", 1e-3)
+    got, want = batch_and_scalar(pairs)
+    assert [scalar_fields(r) for r in want] != [scalar_fields(r) for r in default]
+    for pair, values, result in zip(pairs, got, want):
+        assert [repr(v) for v in values] == [repr(v) for v in scalar_fields(result)], pair
+
+
 def first_scalar_error(states, index):
     # (position, error type, message) of the first pair run_scheme rejects.
     for k, (i, j) in enumerate(index.tolist()):
@@ -343,8 +356,8 @@ def first_scalar_error(states, index):
 def test_batch_raises_the_first_unitarity_failure_like_run_scheme(monkeypatch):
     # At a zero tolerance only the exact splitters of (1, 0) and (0, 1)
     # pass; every later pair fails with its own defect.
+    # Only optics' constant is patched: the batch reads it from there.
     monkeypatch.setattr(optics, "UNITARITY_TOL", 0.0)
-    monkeypatch.setattr(scheme, "UNITARITY_TOL", 0.0)
     states = [input_from_probability(p, 0.4) for p in (1.0, 0.0, 0.25, 0.5, 0.75)]
     index = np.array([(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
     k, kind, message = first_scalar_error(states, index)
