@@ -122,7 +122,8 @@ class InputState:
     @property
     def p(self) -> float:
         """Probability of the single-photon component, |beta|^2."""
-        return abs(self.beta) ** 2
+        h = abs(self.beta)
+        return h * h
 
 
 def input_to_state(s: InputState) -> StateVector:
@@ -183,7 +184,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
         )
     # Divide by the norms so slightly off-unit inputs cannot push the
     # result past 1 beyond float rounding.
-    return abs(inner_product(a, b)) ** 2 / (na2 * nb2)
+    h = abs(inner_product(a, b))
+    return h * h / (na2 * nb2)
 
 
 def normalize(a: StateVector) -> tuple[StateVector, float]:
@@ -213,19 +215,25 @@ def _stored(z: complex, take=None) -> complex:
     return z if kept else 0j
 
 
-def _squared_norm(amps) -> float:
-    # The package's one squared norm. A plain left-to-right loop, not
-    # sum(), which adds floats with compensation from Python 3.12 on; a
-    # pruned entry held as 0j adds an exact zero, so it leaves the bits
-    # unchanged. A float ``** 2`` raises OverflowError instead of giving
-    # inf, and ``amps`` is read a second time only to name the amplitude
-    # in the error.
+def _squared_norm(amps, overflowed=None) -> float:
+    # The package's one squared norm, of complex scalars or ``scheme``'s
+    # lanes: ``h * h`` of each ``h = abs(a)``, one IEEE-754 multiply, summed
+    # in a plain left-to-right loop, not sum(), which adds with compensation
+    # from Python 3.12 on; a pruned 0j adds an exact zero. A square that
+    # overflows to inf raises AmplitudeOverflow, or passes its lanes' mask
+    # to ``overflowed``; a sum of finite squares may still reach inf.
     acc = 0.0
     try:
         for a in amps:
-            acc += abs(a) ** 2
-    except OverflowError:
+            h = abs(a)
+            square = h * h
+            acc += square
+            if overflowed is not None:
+                overflowed(square == math.inf)
+    except OverflowError:  # abs of a complex whose modulus overflows
         raise _overflow(amps) from None
+    if overflowed is None and not acc < math.inf and any(abs(a) * abs(a) == math.inf for a in amps):
+        raise _overflow(amps)
     return acc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, ModeMismatch, OutOfRange
-from .fock import StateVector, _overflow, normalize
+from .fock import StateVector, _squared_norm, normalize
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,7 @@ def outcome_distribution(s: StateVector, modes: tuple[int, ...]) -> dict[tuple[i
         if m in seen:
             raise ModeMismatch(f"mode {m} listed twice")
         seen.add(m)
-    dist: dict[tuple[int, ...], float] = {}
-    try:
-        for occ, amp in s.amps.items():
-            pattern = tuple(occ[m] for m in modes)
-            dist[pattern] = dist.get(pattern, 0.0) + abs(amp) ** 2
-    except OverflowError:
-        raise _overflow(s.amps.values()) from None
-    return dist
+    groups: dict[tuple[int, ...], list[complex]] = {}
+    for occ, amp in s.amps.items():
+        groups.setdefault(tuple(occ[m] for m in modes), []).append(amp)
+    return {pattern: _squared_norm(amps) for pattern, amps in groups.items()}

@@ -43,16 +43,17 @@ one complex per pair, held as float64 arrays of parts. The lane rules
 that keep ``run_scheme``'s bits:
 
 * ``_Lanes`` does complex arithmetic in CPython 3.10-3.12's order;
-* atan, atan2, cos, sin, exp and the squares (``x ** 2``, libm's
-  ``pow``) run per element through Python floats, since numpy's own
-  versions do not always give libm's bits;
+* atan, atan2, cos, sin and exp run per element through Python floats,
+  since numpy's own versions do not always give libm's bits; squares are
+  ``h * h``, one IEEE-754 multiply on either;
 * per-pair branches (t1 == 0, t2 == 0, nothing heralded) become masks.
 
 A rules object holds what a scalar run raises on and a batch flags per
 lane: ``_ScalarRules`` raises, ``_LaneRules`` sets its ``failed`` mask.
-Both prune through ``fock._stored`` and normalize as ``fock.normalize``
-does; the lanes also check the splitter's ranges, its unitarity through
-``optics``' own defects, and ``fidelity``'s norm. Every constant is read
+Both prune through ``fock._stored``, square through ``fock._squared_norm``
+and normalize as ``fock.normalize`` does, and ``_fidelity`` checks the
+heralded norm through them; the lanes also check the splitter's ranges and
+its unitarity through ``optics``' own defects. Every constant is read
 from its owning module when it is used. A chunk with a failing pair
 re-runs its first one through ``run_scheme``, which raises that pair's
 error. A single pair stays on the scalar path, which costs far less than
@@ -69,16 +70,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import numpy as np
 
 from . import fock, optics
-from .errors import OutOfRange, PurityViolated
-from .fock import (
-    InputState,
-    StateVector,
-    _squared_norm,
-    _stored,
-    _unit_amplitudes,
-    fidelity,
-    fock_state,
-)
+from .errors import NotNormalized, OutOfRange, PurityViolated
+from .fock import InputState, StateVector, _squared_norm, _stored, _unit_amplitudes
 from .optics import BeamSplitterParams, _splitter_formula, _unitarity_defects, beamsplitter_matrix
 
 if TYPE_CHECKING:
@@ -89,10 +82,8 @@ CANCEL_TOL = 1e-10
 
 # The stage-2 optimum for every c: a 50/50 splitter with phi2 = 0.
 _STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
-# Stage 2's fixed parts, built once and shared by every run: the 50/50
-# matrix and the |1> target.
+# Stage 2's fixed 50/50 matrix, built once and shared by every run.
 _STAGE_TWO_MATRIX = beamsplitter_matrix(_STAGE_TWO_OPTIMUM)
-_ONE_PHOTON = fock_state((1,))
 _SQRT2 = math.sqrt(2.0)
 
 #: Degenerate reason codes, reported in this order.
@@ -226,6 +217,15 @@ def _stage_two(rules, amps, m):
     return rules.normalized((0j + r1 * m11, 0j + r2 / _SQRT2 * (m01 * m11 + m01 * m11)))
 
 
+def _fidelity(rules, heralded, amps):
+    """``fidelity`` to |1> of the state heralded with stage 2's unit
+    amplitudes (r0, r1), 0.0 where none is: |r1|^2 / (0.0 + |r0|^2 +
+    |r1|^2), that route's bits, since |1>'s squared norm is 1.0 and
+    conj(r1) * (1+0j) changes at most the sign of a zero part of r1."""
+    h = abs(amps[1])
+    return h * h / rules.unit_norm(heralded, amps)
+
+
 def _reason_code(alpha1, beta1, alpha2, beta2, vacuous):
     # The degenerate reasons as a bit code into _REASONS_BY_CODE: 1 no
     # photon pair, 2 no vacuum amplitude, 4 vacuous cancellation.
@@ -253,6 +253,15 @@ class _ScalarRules:
             return False, 0.0, kept
         scaled, n2 = _unit_amplitudes(kept)
         return True, n2, scaled
+
+    @staticmethod
+    def unit_norm(heralded, amps):
+        # The heralded state's squared norm with fidelity's check, 1.0
+        # where nothing is heralded.
+        n2 = _squared_norm(amps) if heralded else 1.0
+        if abs(n2 - 1.0) > fock.NORM_TOL:
+            raise NotNormalized(f"fidelity needs a normalized state, got squared norm {n2!r}")
+        return n2
 
 
 def _herald(amps) -> StateVector:
@@ -284,17 +293,16 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     # A stage 1 that heralds nothing leaves zeros, which herald nothing.
     _, p1, amps = _stage_one(_ScalarRules, a1, b1, a2, b2, beamsplitter_matrix(params))
     heralded, p2, amps = _stage_two(_ScalarRules, amps, _STAGE_TWO_MATRIX)
-    state = _herald(amps) if heralded else None
     return SchemeResult(
         lambda1=params,
         lambda2=_STAGE_TWO_OPTIMUM,
         stage_one_probability=p1,
         stage_two_probability=p2,
         p_success=p1 * p2,
-        output_fidelity=fidelity(state, _ONE_PHOTON) if heralded else 0.0,
+        output_fidelity=_fidelity(_ScalarRules, heralded, amps),
         degenerate=bool(reasons),
         degenerate_reasons=reasons,
-        output_state=state,
+        output_state=_herald(amps) if heralded else None,
     )
 
 
@@ -450,18 +458,19 @@ class _LaneRules:
         self.failed |= ~finite
         return z.where(kept)
 
+    def fail(self, mask):
+        # fock._squared_norm's overflow decision per lane.
+        self.failed |= mask
+
     def stored(self, z):
         return _stored(z, self.take)
 
     def normalized(self, amps):
-        # _ScalarRules.normalized per lane: alive is a mask, the squares are
-        # libm's pow per element, and the zero-norm floor sets failed.
+        # _ScalarRules.normalized per lane: alive is a mask, and the
+        # zero-norm floor and an overflowed square set failed.
         kept = [self.stored(z) for z in amps]
-        sizes = [abs(z) for z in kept]
-        alive = np.logical_or.reduce([h != 0 for h in sizes])
-        n2 = 0.0
-        for h in sizes:
-            n2 = n2 + _squares(h)
+        alive = np.logical_or.reduce([~(z == 0) for z in kept])
+        n2 = _squared_norm(kept, self.fail)
         self.failed |= alive & (n2 <= fock._ZERO_NORM_FLOOR)
         # A lane where nothing survives scales its zeros by 1.0.
         scale = 1.0 / np.sqrt(np.where(alive, n2, 1.0))
@@ -478,30 +487,16 @@ class _LaneRules:
             self.failed |= ~(defect <= optics.UNITARITY_TOL)
         return m
 
-    def fidelity(self, heralded, amps):
-        # fidelity(state, |1>) of the heralded state per lane, 0.0 where
-        # nothing is heralded. The state keeps the nonzero amplitudes, and
-        # a pruned one adds an exact 0.0 to its squared norm; |1>'s is 1.0.
-        # |<1|state>| is the |1> amplitude's abs: conj(z) * (1+0j) and 0j +
-        # change at most the sign of a zero part, which hypot ignores.
-        sq0, sq1 = [_squares(abs(z)) for z in amps]
-        na2 = 0.0 + sq0 + sq1
-        self.failed |= heralded & (np.abs(na2 - 1.0) > fock.NORM_TOL)
-        return np.where(heralded, sq1 / na2, 0.0)
+    def unit_norm(self, heralded, amps):
+        # _ScalarRules.unit_norm per lane.
+        n2 = np.where(heralded, _squared_norm(amps, self.fail), 1.0)
+        self.failed |= np.abs(n2 - 1.0) > fock.NORM_TOL
+        return n2
 
 
 def _per_element(fn, *args: np.ndarray) -> np.ndarray:
     # fn, a math or cmath function, on each element through Python floats.
     return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    # ``x ** 2`` per element, libm's pow as in _squared_norm; a zero stays
-    # 0.0 without the call.
-    out = np.zeros_like(x)
-    nonzero = x != 0
-    out[nonzero] = [v**2 for v in x[nonzero].tolist()]
-    return out
 
 
 def _batch_chunk(first, second):
@@ -514,7 +509,7 @@ def _batch_chunk(first, second):
     theta, phi, vacuous = _solve_cancellation_lanes(rules, *inputs)
     _, p1, amps = _stage_one(rules, *inputs, rules.splitter(theta, phi))
     heralded, p2, amps = _stage_two(rules, amps, _STAGE_TWO_MATRIX)
-    fid = rules.fidelity(heralded, amps)
+    fid = _fidelity(rules, heralded, amps)
     codes = _reason_code(*inputs, vacuous)
     return _BatchColumns(theta, phi, p1, p2, p1 * p2, fid, codes), rules.failed
 
@@ -549,9 +544,9 @@ def closed_form_success(in1: InputState, in2: InputState) -> float:
     trusted anywhere else.
     """
     params, _ = solve_cancellation(in1, in2)
-    s = math.sin(params.theta)
-    c = math.cos(params.theta)
-    return abs(in1.beta * in2.beta) ** 2 * (s * c) ** 2
+    h = abs(in1.beta * in2.beta)
+    sc = math.sin(params.theta) * math.cos(params.theta)
+    return h * h * (sc * sc)
 
 
 def exact_success(p1: float, p2: float) -> Fraction:

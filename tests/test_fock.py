@@ -235,8 +235,8 @@ class TestNormalize:
         assert _squared_norm((1.0, 1e-8, 1e-8)) == 1.0
 
     def test_huge_amplitude_is_package_error(self):
-        # A float ``** 2`` past about 1.34e154 raises OverflowError; the
-        # caller sees a ValueError that names the magnitude instead.
+        # A square past about 1.34e154 overflows to inf; the caller sees a
+        # ValueError that names the magnitude instead.
         with pytest.raises(AmplitudeOverflow, match="1.000e[+]200") as info:
             normalize(StateVector(1, {(0,): 1e200}))
         assert isinstance(info.value, ValueError)

@@ -45,7 +45,7 @@ PHASE_GRID = {
     "phase2": {"start": -math.pi, "stop": math.pi, "steps": 4},
 }
 PHASE_GRID_CSV_SHA256 = "8ff84399ebe1b13f3f1044070bc646d3197a9498215399c5c16b07ac817cdfc4"
-PHASE_GRID_JSON_SHA256 = "3977c5afa2c58ee937031c7c3c49310f76fd9f42c962ff2e2d14fe6b8735b641"
+PHASE_GRID_JSON_SHA256 = "4abd72999d7c158cbfe8119c70236ee764db138ce89f637e7390421201a87337"
 
 #: Identical inputs, 41 probabilities by 5 phases on [-pi, pi]: 205 rows.
 DIAGONAL_GRID = {
@@ -183,7 +183,7 @@ def test_generic_engine_reprs():
 # zero do. Inputs pass through ``input_from_probability``, whose cos, sin
 # and sqrt come from the C library like the sweep pins'.
 
-SCALAR_PATH_SHA256 = "bc20abc8ebdebe2755bf1f7d32c3901dbbe86391667073277834b55006e9651e"
+SCALAR_PATH_SHA256 = "2f06197570f2809463ac745eb888f648b1f88118d253dcad6820eb56eed128e0"
 
 
 def scalar_path_lines() -> list[str]:
