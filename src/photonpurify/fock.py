@@ -42,8 +42,6 @@ PRUNE_THRESHOLD = 1e-14
 #: Tolerance on squared norm for "is this state normalized" preconditions.
 NORM_TOL = 1e-9
 
-_ZERO_NORM_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -248,13 +246,13 @@ def _overflow(amps) -> AmplitudeOverflow:
 def _unit_amplitudes(amps) -> tuple[list[complex], float]:
     """(amplitudes scaled to unit norm, their original squared norm).
 
-    ``amps`` is a sequence of stored amplitudes, read twice. Scaled
-    amplitudes pass :func:`_stored`, so one that falls below the threshold
-    is 0j.
+    ``amps`` is a sequence of stored amplitudes, read twice, at least one
+    of them nonzero: each kept amplitude has magnitude at least
+    :data:`PRUNE_THRESHOLD`, so the squared norm is at least its square,
+    1e-28, and never zero. Scaled amplitudes pass :func:`_stored`, so one
+    that falls below the threshold is 0j.
     """
     n2 = _squared_norm(amps)
-    if n2 <= _ZERO_NORM_FLOOR:
-        raise ZeroState(f"squared norm {n2!r} is below the zero-state floor")
     scale = 1.0 / math.sqrt(n2)
     return [_stored(a * scale) for a in amps], n2
 

@@ -34,9 +34,9 @@ a sector of k >= 3 photons it gathers the k x k submatrix of every
 (output, input) transition with one fancy index, ``_STACK_CHUNK``
 transitions at a time, and evaluates the stack in one vectorized pass of
 ``_ryser_stack``. That pass walks the same Gray-code schedule as the
-scalar :func:`permanent_kernel`, on float64 arrays in the order of
-CPython 3.10-3.12's complex arithmetic (``_Py_c_prod`` for products, as
-in ``scheme``'s batch), so each permanent equals the kernel's bit for
+scalar :func:`permanent_kernel`, on float64 arrays with CPython
+3.10-3.12's complex arithmetic (:class:`_Lanes`, which ``scheme``'s
+sweep batch runs on too), so each permanent equals the kernel's bit for
 bit. :func:`permanent` on a single matrix, and ``apply`` on a sector
 with a single transition, keep the scalar kernel, which reads the matrix
 once with ``tolist``; a stack of one costs far more.
@@ -243,6 +243,88 @@ def permanent(m) -> complex:
     return permanent_kernel(arr)
 
 
+class _Lanes:
+    """One complex number per lane of a batch, held as float64 arrays (or
+    floats) of real and imaginary parts: the complex arithmetic of
+    ``scheme``'s sweep batch and of :func:`_ryser_stack`.
+
+    ``+ - * /``, unary minus, ``abs``, ``conjugate`` and ``==`` give every
+    lane the bits that CPython 3.10-3.12 gives the same operation on
+    complexes: ``_Py_c_prod`` for products, and both Smith branches of
+    ``_Py_c_quot``, chosen per lane, for quotients. A float, ndarray or
+    complex operand on either side is promoted to a lane value, a real x
+    to (x, 0.0) as CPython promotes it. ``abs`` is ``np.hypot``, which
+    equals ``_Py_c_abs`` wherever that does not raise OverflowError.
+    ``__array_ufunc__ = None`` makes numpy defer to the reflected methods.
+    """
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None
+
+    def __init__(self, re, im=0.0):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(x) -> _Lanes:
+        # A float, ndarray or complex: a real's .imag is 0.0.
+        return x if isinstance(x, _Lanes) else _Lanes(x.real, x.imag)
+
+    def __add__(self, other):
+        o = _Lanes.of(other)
+        return _Lanes(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, other):
+        o = _Lanes.of(other)
+        return _Lanes(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return _Lanes.of(other) - self
+
+    def __mul__(self, other):
+        # _Py_c_prod
+        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
+        return _Lanes(ar * o.re - ai * o.im, ar * o.im + ai * o.re)
+
+    # IEEE-754 sums and products commute, signed zeros included.
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other):
+        # _Py_c_quot: Smith's method, scaling by the larger part of the
+        # divisor. Both branches are evaluated and each lane keeps its own.
+        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
+        br, bi = np.asarray(o.re, dtype=float), np.asarray(o.im, dtype=float)
+        by_real = np.abs(br) >= np.abs(bi)
+        ratio = bi / br
+        denom = br + bi * ratio
+        real = np.where(by_real, (ar + ai * ratio) / denom, 0.0)
+        imag = np.where(by_real, (ai - ar * ratio) / denom, 0.0)
+        ratio = br / bi
+        denom = br * ratio + bi
+        real = np.where(by_real, real, (ar * ratio + ai) / denom)
+        imag = np.where(by_real, imag, (ai * ratio - ar) / denom)
+        return _Lanes(real, imag)
+
+    def __rtruediv__(self, other):
+        return _Lanes.of(other) / self
+
+    def __neg__(self):
+        return _Lanes(-self.re, -self.im)
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    def conjugate(self):
+        return _Lanes(self.re, -self.im)
+
+    def __eq__(self, other):
+        o = _Lanes.of(other)
+        return (self.re == o.re) & (self.im == o.im)
+
+    def where(self, keep) -> _Lanes:
+        """The lanes where ``keep``, 0.0 elsewhere."""
+        return _Lanes(np.where(keep, self.re, 0.0), np.where(keep, self.im, 0.0))
+
+
 #: Transitions per pass of ``_ryser_stack``, and Gray-code steps times
 #: transitions per block inside it. Every temporary of a pass then holds
 #: at most 2 x _STACK_CHUNK x k x k complex entries, whatever the sector
@@ -272,10 +354,9 @@ def _ryser_stack(mats: np.ndarray) -> np.ndarray:
     previous block's last sums (``0j`` before the first), so each sum is
     the kernel's ``+=`` / ``-=``; subtracting equals adding the negation in
     IEEE-754. Each product starts from ``1.0+0j`` and multiplies by the row
-    sums left to right in ``_Py_c_prod`` order (the leading ``1.0 *`` is
-    exact and dropped, the ``0.0 *`` terms stay, since they set the sign of
-    a zero). The total takes each signed product in step order the same
-    way.
+    sums left to right with :class:`_Lanes`' ``*``, CPython's
+    ``_Py_c_prod``. The total takes each signed product in step order the
+    same way.
     """
     b, k = mats.shape[0], mats.shape[1]
     cols = mats.transpose(2, 1, 0)
@@ -293,13 +374,13 @@ def _ryser_stack(mats: np.ndarray) -> np.ndarray:
             steps = np.cumsum(steps, axis=0)
             sums = steps[-1]
             re, im = steps.real, steps.imag
-            pr, pi = re[:, 0] - 0.0 * im[:, 0], im[:, 0] + 0.0 * re[:, 0]
-            for i in range(1, k):
-                vr, vi = re[:, i], im[:, i]
-                pr, pi = pr * vr - pi * vi, pr * vi + pi * vr
+            prod = _Lanes(1.0, 0.0)
+            for i in range(k):
+                prod = prod * _Lanes(re[:, i], im[:, i])
+            # The sign scales the parts: a complex product by (-1, 0)
+            # would turn an inf part times 0.0 into NaN.
             signs = sign[start : start + block]
-            pr *= signs
-            pi *= signs
+            pr, pi = prod.re * signs, prod.im * signs
             pr[0] += total_re
             pi[0] += total_im
             total_re = np.cumsum(pr, axis=0)[-1]

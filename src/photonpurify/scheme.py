@@ -38,9 +38,9 @@ generic engine's, the reference the tests compare against.
 
 ``run_scheme`` and ``stage_two`` run the stages on complex scalars, and
 only the heralded output becomes a ``StateVector``. Sweeps run them
-through ``_run_batch``, ``_BATCH_CHUNK`` pairs at a time, on ``_Lanes``:
-one complex per pair, held as float64 arrays of parts. The lane rules
-that keep ``run_scheme``'s bits:
+through ``_run_batch``, ``_BATCH_CHUNK`` pairs at a time, on
+``optics._Lanes``: one complex per pair, held as float64 arrays of
+parts. The lane rules that keep ``run_scheme``'s bits:
 
 * ``_Lanes`` does complex arithmetic in CPython 3.10-3.12's order;
 * atan, atan2, cos, sin and exp run per element through Python floats,
@@ -72,7 +72,7 @@ import numpy as np
 from . import fock, optics
 from .errors import NotNormalized, OutOfRange, PurityViolated
 from .fock import InputState, StateVector, _squared_norm, _stored, _unit_amplitudes
-from .optics import BeamSplitterParams, _splitter_formula, _unitarity_defects, beamsplitter_matrix
+from .optics import BeamSplitterParams, _Lanes, _splitter_formula, _unitarity_defects, beamsplitter_matrix
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -365,87 +365,6 @@ def _grid_index(n_p1: int, n_p2: int, n_h1: int, n_h2: int, second: int = 0) -> 
     return np.column_stack((i1 * n_h1 + j1, second + i2 * n_h2 + j2))
 
 
-class _Lanes:
-    """One complex number per lane of a batch, held as float64 arrays (or
-    floats) of real and imaginary parts.
-
-    ``+ - * /``, unary minus, ``abs``, ``conjugate`` and ``==`` give every
-    lane the bits that CPython 3.10-3.12 gives the same operation on
-    complexes: ``_Py_c_prod`` for products, and both Smith branches of
-    ``_Py_c_quot``, chosen per lane, for quotients. A float, ndarray or
-    complex operand on either side is promoted to a lane value, a real x
-    to (x, 0.0) as CPython promotes it. ``abs`` is ``np.hypot``, which
-    equals ``_Py_c_abs`` wherever that does not raise OverflowError.
-    ``__array_ufunc__ = None`` makes numpy defer to the reflected methods.
-    """
-
-    __slots__ = ("re", "im")
-    __array_ufunc__ = None
-
-    def __init__(self, re, im=0.0):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def of(x) -> _Lanes:
-        # A float, ndarray or complex: a real's .imag is 0.0.
-        return x if isinstance(x, _Lanes) else _Lanes(x.real, x.imag)
-
-    def __add__(self, other):
-        o = _Lanes.of(other)
-        return _Lanes(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, other):
-        o = _Lanes.of(other)
-        return _Lanes(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return _Lanes.of(other) - self
-
-    def __mul__(self, other):
-        # _Py_c_prod
-        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
-        return _Lanes(ar * o.re - ai * o.im, ar * o.im + ai * o.re)
-
-    # IEEE-754 sums and products commute, signed zeros included.
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __truediv__(self, other):
-        # _Py_c_quot: Smith's method, scaling by the larger part of the
-        # divisor. Both branches are evaluated and each lane keeps its own.
-        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
-        br, bi = np.asarray(o.re, dtype=float), np.asarray(o.im, dtype=float)
-        by_real = np.abs(br) >= np.abs(bi)
-        ratio = bi / br
-        denom = br + bi * ratio
-        real = np.where(by_real, (ar + ai * ratio) / denom, 0.0)
-        imag = np.where(by_real, (ai - ar * ratio) / denom, 0.0)
-        ratio = br / bi
-        denom = br * ratio + bi
-        real = np.where(by_real, real, (ar * ratio + ai) / denom)
-        imag = np.where(by_real, imag, (ai * ratio - ar) / denom)
-        return _Lanes(real, imag)
-
-    def __rtruediv__(self, other):
-        return _Lanes.of(other) / self
-
-    def __neg__(self):
-        return _Lanes(-self.re, -self.im)
-
-    def __abs__(self):
-        return np.hypot(self.re, self.im)
-
-    def conjugate(self):
-        return _Lanes(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = _Lanes.of(other)
-        return (self.re == o.re) & (self.im == o.im)
-
-    def where(self, keep) -> _Lanes:
-        """The lanes where ``keep``, 0.0 elsewhere."""
-        return _Lanes(np.where(keep, self.re, 0.0), np.where(keep, self.im, 0.0))
-
-
 class _LaneRules:
     """The stages' rules on ``_Lanes``: a check that raises on scalars
     sets ``failed`` on the lanes where it fails instead."""
@@ -466,12 +385,11 @@ class _LaneRules:
         return _stored(z, self.take)
 
     def normalized(self, amps):
-        # _ScalarRules.normalized per lane: alive is a mask, and the
-        # zero-norm floor and an overflowed square set failed.
+        # _ScalarRules.normalized per lane: alive is a mask, and an
+        # overflowed square sets failed.
         kept = [self.stored(z) for z in amps]
         alive = np.logical_or.reduce([~(z == 0) for z in kept])
         n2 = _squared_norm(kept, self.fail)
-        self.failed |= alive & (n2 <= fock._ZERO_NORM_FLOOR)
         # A lane where nothing survives scales its zeros by 1.0.
         scale = 1.0 / np.sqrt(np.where(alive, n2, 1.0))
         return alive, n2, [self.stored(z * scale) for z in kept]

@@ -4,16 +4,23 @@ Grid semantics: four ranges (p1, p2, phase1, phase2) walked in row-major
 order with p1 outermost and phase2 innermost. ``diagonal`` collapses the
 grid to identical inputs, iterating (p1, phase1) and copying them to the
 second input; that is how the closed-form success curve is traced.
-Each input is built once per (p, phase) pair of its own side's axes, not
-once per grid point, and the diagonal pairs each input with itself. The
-pairs then go to ``scheme._run_batch``, which evaluates them in
-fixed-size chunks on numpy arrays and gives every field the bits
-``run_scheme`` gives it (see ``scheme`` for the rules that keep them).
 
-``sweep_csv`` formats the batch's columns straight into CSV lines, chunk
-by chunk, and builds no row dicts. ``sweep_rows`` turns the same columns
-into one dict per point, equal to a per-point ``run_point`` by ``repr``;
-JSON output and ``rows_to_csv`` go through those rows.
+One private walk, ``_walk``, is the only place that decides the grid
+order and the diagonal. It builds each input once per (p, phase) pair of
+its own side's axes, not once per grid point, and the diagonal pairs
+each input with itself. The pairs go to ``scheme._run_batch``, which
+evaluates them in fixed-size chunks on numpy arrays and gives every
+field the bits ``run_scheme`` gives it (see ``scheme`` for the rules
+that keep them). For each chunk the walk yields its columns in the one
+row layout, ``_ROW_FIELDS``, with each point's axis values picked by the
+positions of its two inputs.
+
+``sweep_csv`` formats those columns straight into CSV lines, chunk by
+chunk, and builds no row dicts. ``sweep_rows`` zips them into one dict
+per point, equal to a per-point ``run_point`` by ``repr``, and JSON
+output serializes those rows. ``rows_to_csv`` formats any rows with
+``sweep_csv``'s line builder. ``grid_points`` writes the grid order out
+point by point, as the reference the tests hold the walk to.
 
 CSV output is byte-deterministic: fixed column order, fixed number
 formatting (12 significant digits, lowercase scientific below 1e-4, bare
@@ -30,20 +37,19 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigInvalid
 from .fock import input_from_probability
-from .scheme import SchemeResult, _BatchColumns, _grid_index, _run_batch, run_scheme
+from .scheme import SchemeResult, _grid_index, _run_batch, run_scheme
 
-#: Numeric row fields, in CSV column order: the grid axes, whose values
-#: repeat from row to row, then the scheme's results.
-_AXIS_FIELDS = ("p1", "p2", "phase1", "phase2")
-_RESULT_FIELDS = ("theta", "phi", "p_success", "fidelity")
+#: The row layout, in CSV column order: the grid axes, the scheme's
+#: results, then the degenerate flag, the one field that is not a number.
+_ROW_FIELDS = ("p1", "p2", "phase1", "phase2", "theta", "phi", "p_success", "fidelity", "degenerate")
 
-CSV_HEADER = ",".join(_AXIS_FIELDS + _RESULT_FIELDS + ("degenerate",))
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 #: Most points one sweep may walk, per axis and over the whole grid; a
 #: config past it is a config error. The output stays in memory until the
@@ -144,8 +150,9 @@ class SweepConfig:
 
 
 def grid_points(cfg: SweepConfig) -> Iterator[tuple[float, float, float, float]]:
-    """Row-major grid order, the order of ``sweep_rows``' rows; the
-    diagonal copies input 1 onto input 2."""
+    """Row-major grid order, written out point by point: the reference
+    that the tests hold ``_walk``'s order to. The diagonal copies input 1
+    onto input 2."""
     if cfg.diagonal:
         for p, ph in itertools.product(cfg.p1.points(), cfg.phase1.points()):
             yield p, p, ph, ph
@@ -166,96 +173,61 @@ def result_row(
     p1: float, p2: float, phase1: float, phase2: float, result: SchemeResult
 ) -> dict:
     """Flat row for one grid point, keys matching the CSV header."""
-    return {
-        "p1": p1,
-        "p2": p2,
-        "phase1": phase1,
-        "phase2": phase2,
-        "theta": result.lambda1.theta,
-        "phi": result.lambda1.phi,
-        "p_success": result.p_success,
-        "fidelity": result.output_fidelity,
-        "degenerate": result.degenerate,
-    }
+    results = (result.lambda1.theta, result.lambda1.phi, result.p_success, result.output_fidelity)
+    return dict(zip(_ROW_FIELDS, (p1, p2, phase1, phase2, *results, result.degenerate)))
 
 
-def _batches(cfg: SweepConfig) -> Iterator[_BatchColumns]:
-    """``scheme._run_batch``'s result columns for the whole grid, chunk by
-    chunk in ``grid_points`` order.
+def _walk(cfg: SweepConfig, axis: Callable[[list[float]], list]) -> Iterator[tuple[list, list]]:
+    """The grid's rows in grid order, chunk by chunk as ``_run_batch``
+    yields them: per chunk, (the p1, p2, phase1 and phase2 columns, the
+    theta, phi, p_success, fidelity and degenerate columns) as lists, in
+    ``_ROW_FIELDS`` order, each result bit-identical to ``run_point``'s.
 
     Each side's inputs are built once per (p, phase) pair of its own axes,
-    into one list, and each grid point names its two inputs by position in
-    that list; on the diagonal input 2 is input 1.
+    p-major, side 1's first, and a grid point names its two inputs by
+    their positions in that order; on the diagonal input 2 is input 1.
+    The axis columns are picked by those positions from ``axis`` of the
+    inputs' p values and of their phases: the values themselves, or their
+    cells.
     """
     p1s, h1s = cfg.p1.points(), cfg.phase1.points()
-    states = [input_from_probability(p, h) for p in p1s for h in h1s]
+    p, phase = [x for x in p1s for _ in h1s], list(h1s) * len(p1s)
     if cfg.diagonal:
-        index = np.repeat(np.arange(len(states))[:, None], 2, axis=1)
+        index = np.repeat(np.arange(len(p))[:, None], 2, axis=1)
     else:
         p2s, h2s = cfg.p2.points(), cfg.phase2.points()
-        first = len(states)
-        states += [input_from_probability(p, h) for p in p2s for h in h2s]
-        index = _grid_index(len(p1s), len(p2s), len(h1s), len(h2s), first)
-    return _run_batch(states, index)
+        second = len(p)
+        p += [x for x in p2s for _ in h2s]
+        phase += list(h2s) * len(p2s)
+        index = _grid_index(len(p1s), len(p2s), len(h1s), len(h2s), second)
+    states = list(map(input_from_probability, p, phase))
+    # Rebinding frees the float lists: a diagonal holds one input per point.
+    p, phase = (np.array(axis(values), dtype=object) for values in (p, phase))
+    done = 0
+    for res in _run_batch(states, index):
+        i, j = index[done : done + len(res.theta)].T
+        done += len(res.theta)
+        results = (res.theta, res.phi, res.p_success, res.output_fidelity, res.degenerate)
+        yield [c.tolist() for c in (p[i], p[j], phase[i], phase[j])], [c.tolist() for c in results]
 
 
 def sweep_rows(cfg: SweepConfig) -> list[dict]:
-    """Evaluate the whole grid in ``grid_points`` order, one row dict per
-    point, bit-identical to ``run_point`` per point."""
+    """Evaluate the whole grid in grid order, one row dict per point,
+    bit-identical to ``run_point`` per point."""
     rows = []
-    points = grid_points(cfg)
-    for res in _batches(cfg):
-        # result_row's layout, written out to save a call per row.
-        # TestEquivalence holds the two equal by repr.
-        rows += [
-            {
-                "p1": p1,
-                "p2": p2,
-                "phase1": h1,
-                "phase2": h2,
-                "theta": theta,
-                "phi": phi,
-                "p_success": p_success,
-                "fidelity": fid,
-                "degenerate": degenerate,
-            }
-            for (p1, p2, h1, h2), theta, phi, p_success, fid, degenerate in zip(
-                itertools.islice(points, len(res.theta)),
-                res.theta.tolist(),
-                res.phi.tolist(),
-                res.p_success.tolist(),
-                res.output_fidelity.tolist(),
-                res.degenerate.tolist(),
-            )
-        ]
+    for axes, results in _walk(cfg, list):
+        rows += [dict(zip(_ROW_FIELDS, values)) for values in zip(*axes, *results)]
     return rows
 
 
 def sweep_csv(cfg: SweepConfig) -> str:
     """The grid's CSV table, byte-identical to
-    ``rows_to_csv(sweep_rows(cfg))``, formatted from the batch's columns.
-
-    Each axis value is formatted once, and each grid point's
-    ``p1,p2,phase1,phase2`` cells are joined once, in grid order.
-    """
+    ``rows_to_csv(sweep_rows(cfg))``, formatted from the walk's columns
+    with no row dicts; each axis value is formatted once per sweep."""
     cells: dict[float, str] = {}
-    p1, h1 = [_formatted(r.points(), cells) for r in (cfg.p1, cfg.phase1)]
-    if cfg.diagonal:
-        axes = itertools.product([f"{c},{c}" for c in p1], [f"{c},{c}" for c in h1])
-    else:
-        p2, h2 = [_formatted(r.points(), cells) for r in (cfg.p2, cfg.phase2)]
-        axes = itertools.product(p1, p2, h1, h2)
-    prefixes = map(",".join, axes)
     blocks = [CSV_HEADER]
-    for res in _batches(cfg):
-        results = (res.theta, res.phi, res.p_success, res.output_fidelity)
-        blocks.append(
-            _csv_block(
-                [itertools.islice(prefixes, len(res.theta))],
-                [column.tolist() for column in results],
-                res.degenerate.tolist(),
-            )
-        )
+    for axes, (*numbers, degenerate) in _walk(cfg, lambda values: list(_formatted(values, cells))):
+        blocks.append(_csv_block(axes, numbers, degenerate))
     return "\n".join(blocks) + "\n"
 
 
@@ -304,7 +276,7 @@ def rows_to_csv(rows: list[dict]) -> str:
     """The CSV table of row dicts, through ``sweep_csv``'s line builder."""
     if not rows:
         return CSV_HEADER + "\n"
-    numbers = [[float(row[name]) for row in rows] for name in _AXIS_FIELDS + _RESULT_FIELDS]
+    numbers = [[float(row[name]) for row in rows] for name in _ROW_FIELDS[:-1]]
     degenerate = [bool(row["degenerate"]) for row in rows]
     return CSV_HEADER + "\n" + _csv_block([], numbers, degenerate) + "\n"
 

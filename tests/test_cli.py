@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from photonpurify import __version__
+from photonpurify import PurityViolated, __version__, cli
 from photonpurify.cli import main
+from photonpurify.verify import CheckResult
 from photonpurify.sweep import CSV_HEADER
 
 
@@ -300,18 +301,57 @@ class TestVerify:
         assert out == baseline
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize(
-    "content",
-    [b'\xff\xfe{"p1": 0.5}', b"[" * 100_000 + b"]" * 100_000],
-    ids=["not-utf8", "too-deep"],
-)
+UNIT = {"start": 0.0, "stop": 1.0, "steps": 3}
+
+#: Config files that must exit 2, by test id: each is (command, file bytes).
+BAD_CONFIGS = {
+    "not-utf8-run": ("run", b'\xff\xfe{"p1": 0.5}'),
+    "not-utf8-sweep": ("sweep", b'\xff\xfe{"p1": 0.5}'),
+    "too-deep-run": ("run", b"[" * 100_000 + b"]" * 100_000),
+    "too-deep-sweep": ("sweep", b"[" * 100_000 + b"]" * 100_000),
+    "string-p": ("run", {"input1": {"p": "0.5"}, "input2": {"p": 0.5}}),
+    "input-not-object": ("run", {"input1": 0.5, "input2": {"p": 0.5}}),
+    "run-format-xml": ("run", {"input1": {"p": 0.5}, "input2": {"p": 0.5}, "format": "xml"}),
+    "range-not-object": ("sweep", {"p1": 0.5}),
+    "float-steps": ("sweep", {"p1": dict(UNIT, steps=2.0)}),
+    "bool-steps": ("sweep", {"p1": dict(UNIT, steps=True)}),
+    "string-start": ("sweep", {"p1": dict(UNIT, start="0")}),
+    "start-past-stop": ("sweep", {"p1": dict(UNIT, start=1.0, stop=0.0)}),
+    "integer-diagonal": ("sweep", {"diagonal": 1}),
+    "numeric-out": ("sweep", {"out": 3}),
+    "list-plot": ("sweep", {"plot": ["curves.svg"]}),
+    "sweep-format-table": ("sweep", {"format": "table"}),
+}
+
+
+@pytest.mark.parametrize("command, content", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_undecodable_config_is_config_error(capsys, tmp_path, command, content):
     cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(content)
-    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    cfg.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert code == 2
     assert "config error" in err
+    assert out == ""
+
+
+def test_failed_check_exits_one(capsys, monkeypatch):
+    results = [CheckResult("unitarity", True, "ok"), CheckResult("purity-grid", False, "broken")]
+    monkeypatch.setattr(cli, "run_checks", lambda seed, trials: results)
+    code, out, _ = run_cli(capsys, "verify", "--trials", "1")
+    assert code == 1
+    assert out.splitlines()[-1] == "failed checks: purity-grid"
+
+
+@pytest.mark.parametrize("command, evaluate", [("run", "run_point"), ("sweep", "sweep_csv")])
+def test_invariant_failure_exits_one(capsys, monkeypatch, command, evaluate):
+    def broken(*args):
+        raise PurityViolated("c1 was not cancelled")
+
+    monkeypatch.setattr(cli, evaluate, broken)
+    code, out, err = run_cli(capsys, command, "--p1", "0.5", "--p2", "0.5")
+    assert code == 1
+    assert err.startswith("invariant failure: c1 was not cancelled")
+    assert out == ""
 
 
 def test_version_flag(capsys):

@@ -131,6 +131,10 @@ class TestInputs:
     def test_input_state_huge_amplitude_is_package_error(self):
         with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
             InputState(1e200, 0)
+        # Finite parts whose modulus overflows: abs itself raises
+        # OverflowError, before any square.
+        with pytest.raises(AmplitudeOverflow, match="magnitude inf"):
+            InputState(complex(1.5e308, 1.5e308), 0)
 
     def test_input_state_stores_what_it_validated(self):
         s = InputState("0.6", 0.8)

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from test_golden import PHASE_GRID, PHASE_GRID_CSV_SHA256
+from test_golden import PHASE_GRID, PHASE_GRID_CSV_SHA256, PHASE_GRID_JSON_SHA256
 
 from photonpurify import ConfigInvalid, cli, sweep
 from photonpurify.sweep import (
@@ -117,6 +117,7 @@ class TestEquivalence:
 
     def test_json_of_no_rows(self):
         assert rows_to_json([]) == json.dumps([], indent=2) + "\n"
+        assert rows_to_csv([]) == CSV_HEADER + "\n"
 
 
 @pytest.mark.parametrize("name, builds", [("phase-grid", 168), ("diagonal", 205), ("default", 22)])
@@ -136,17 +137,24 @@ def test_each_input_is_built_once(monkeypatch, name, builds):
 
 
 def test_csv_sweep_builds_no_rows(monkeypatch, tmp_path):
-    def no_rows(*args, **kwargs):
-        raise AssertionError("a CSV sweep built row dicts")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep walked grid_points, or a CSV sweep built row dicts")
 
+    def sweep_sha256(*flags):
+        out = tmp_path / "grid.out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    # The walk is the one source of the row order, in either format.
+    monkeypatch.setattr(sweep, "grid_points", forbidden)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(PHASE_GRID))
+    assert sweep_sha256("--format", "json") == PHASE_GRID_JSON_SHA256
     # cli holds its own references to the row builders.
     for module in (sweep, cli):
-        monkeypatch.setattr(module, "sweep_rows", no_rows)
-        monkeypatch.setattr(module, "result_row", no_rows)
-    cfg, out = tmp_path / "grid.json", tmp_path / "grid.csv"
-    cfg.write_text(json.dumps(PHASE_GRID))
-    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PHASE_GRID_CSV_SHA256
+        monkeypatch.setattr(module, "sweep_rows", forbidden)
+        monkeypatch.setattr(module, "result_row", forbidden)
+    assert sweep_sha256() == PHASE_GRID_CSV_SHA256
 
 
 def test_memoized_cells_equal_fmt():
