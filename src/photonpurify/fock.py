@@ -188,13 +188,14 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def normalize(a: StateVector) -> tuple[StateVector, float]:
     """Rescale to unit norm; returns (state, original squared norm)."""
-    scaled, n2 = _unit_amplitudes(a.amps.values())
+    _, n2, scaled = _normalized(a.amps.values())
     return StateVector(a.modes, dict(zip(a.amps, scaled))), n2
 
 
 # The helpers below are the per-amplitude rule, the squared norm and the
-# normalization shared by StateVector, InputState, normalize and the
-# stages in ``scheme``.
+# normalization: StateVector and InputState use the first two, and
+# normalize, ``measurement.condition`` and both stages in ``scheme`` share
+# _normalized, which ``scheme``'s lanes mirror with masks.
 # They stay private so that tracing the package's public layers does not
 # wrap a call per amplitude.
 
@@ -203,8 +204,12 @@ def _stored(z: complex, take=None) -> complex:
     """``z`` as a StateVector stores it, with 0j for a pruned amplitude: the
     prune and finiteness rule. A non-finite ``z`` (whose abs is inf or NaN)
     raises ValueError, unless ``take(z, finite, kept)`` is given to act on
-    the two decisions, as ``scheme``'s sweep batch does per lane."""
-    h = abs(z)
+    the two decisions, as ``scheme``'s sweep batch does per lane. A modulus
+    that overflows raises AmplitudeOverflow."""
+    try:
+        h = abs(z)
+    except OverflowError:  # lanes' abs gives inf instead
+        raise AmplitudeOverflow(f"amplitude {z!r} has a modulus beyond the float range") from None
     finite, kept = h < math.inf, h >= PRUNE_THRESHOLD
     if take is not None:
         return take(z, finite, kept)
@@ -243,18 +248,18 @@ def _overflow(amps) -> AmplitudeOverflow:
     )
 
 
-def _unit_amplitudes(amps) -> tuple[list[complex], float]:
-    """(amplitudes scaled to unit norm, their original squared norm).
-
-    ``amps`` is a sequence of stored amplitudes, read twice, at least one
-    of them nonzero: each kept amplitude has magnitude at least
-    :data:`PRUNE_THRESHOLD`, so the squared norm is at least its square,
-    1e-28, and never zero. Scaled amplitudes pass :func:`_stored`, so one
-    that falls below the threshold is 0j.
-    """
-    n2 = _squared_norm(amps)
+def _normalized(amps) -> tuple[bool, float, list[complex]]:
+    """(alive, squared norm, unit amplitudes) of ``amps`` as a StateVector
+    stores them: each is pruned by :func:`_stored`, and (False, 0.0, the
+    zeros) comes back when none survives. A kept amplitude is at least
+    :data:`PRUNE_THRESHOLD`, so the squared norm is at least 1e-28, never
+    zero; the scaled amplitudes are pruned again, 0j where they fall below."""
+    kept = [_stored(z) for z in amps]
+    if not any(kept):
+        return False, 0.0, kept
+    n2 = _squared_norm(kept)
     scale = 1.0 / math.sqrt(n2)
-    return [_stored(a * scale) for a in amps], n2
+    return True, n2, [_stored(a * scale) for a in kept]
 
 
 @lru_cache(maxsize=None)

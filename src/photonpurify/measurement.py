@@ -11,17 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, ModeMismatch, OutOfRange
-from .fock import StateVector, _squared_norm, normalize
+from .fock import StateVector, _normalized, _squared_norm
 
 
 @dataclass(frozen=True)
 class ConditionResult:
     """Post-selection outcome: probability and the conditional state.
 
-    ``state`` is None, and the probability exactly 0, when no amplitude
-    survives the projection. Stored amplitudes are at least
-    ``fock.PRUNE_THRESHOLD`` in magnitude, so any other outcome has
-    probability of at least its square.
+    ``state`` is None, and the probability exactly 0, when no projected
+    amplitude survives pruning (``fock._normalized``). Stored amplitudes
+    are at least ``fock.PRUNE_THRESHOLD`` in magnitude, so any other
+    outcome has probability of at least its square.
     """
 
     probability: float
@@ -47,6 +47,8 @@ def condition(s: StateVector, detected: dict[int, int]) -> ConditionResult:
 
     ``detected`` maps mode index to the exact photon count seen there. The
     surviving modes keep their relative order and are renumbered from 0.
+    It renormalizes with ``fock._normalized``, as ``normalize`` and the
+    scheme's stages do, and builds only the conditional state.
     """
     _validate_detected(s, detected)
     keep = [m for m in range(s.modes) if m not in detected]
@@ -56,11 +58,10 @@ def condition(s: StateVector, detected: dict[int, int]) -> ConditionResult:
             continue
         reduced = tuple(occ[m] for m in keep)
         projected[reduced] = projected.get(reduced, 0j) + amp
-    if not projected:
+    alive, prob, amps = _normalized(projected.values())
+    if not alive:
         return ConditionResult(0.0, None)
-    raw = StateVector(len(keep), projected)
-    normalized, prob = normalize(raw)
-    return ConditionResult(prob, normalized)
+    return ConditionResult(prob, StateVector(len(keep), dict(zip(projected, amps))))
 
 
 def outcome_distribution(s: StateVector, modes: tuple[int, ...]) -> dict[tuple[int, ...], float]:

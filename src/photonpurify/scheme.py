@@ -50,14 +50,15 @@ parts. The lane rules that keep ``run_scheme``'s bits:
 
 A rules object holds what a scalar run raises on and a batch flags per
 lane: ``_ScalarRules`` raises, ``_LaneRules`` sets its ``failed`` mask.
-Both prune through ``fock._stored``, square through ``fock._squared_norm``
-and normalize as ``fock.normalize`` does, and ``_fidelity`` checks the
-heralded norm through them; the lanes also check the splitter's ranges and
-its unitarity through ``optics``' own defects. Every constant is read
-from its owning module when it is used. A chunk with a failing pair
-re-runs its first one through ``run_scheme``, which raises that pair's
-error. A single pair stays on the scalar path, which costs far less than
-a batch.
+Both prune through ``fock._stored`` and square through
+``fock._squared_norm``; ``_ScalarRules`` normalizes with
+``fock._normalized``, as ``fock.normalize`` and ``measurement.condition``
+do, and ``_LaneRules`` with its per-lane mirror. The lanes also check the
+splitter's ranges and its unitarity through ``optics``' own defects.
+Every constant is read from its owning module when it is used. A chunk
+with a failing pair re-runs its first one through ``run_scheme``, which
+raises that pair's error. A single pair stays on the scalar path, which
+costs far less than a batch.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from . import fock, optics
-from .errors import NotNormalized, OutOfRange, PurityViolated
-from .fock import InputState, StateVector, _squared_norm, _stored, _unit_amplitudes
+from . import optics
+from .errors import OutOfRange, PurityViolated
+from .fock import InputState, StateVector, _normalized, _squared_norm, _stored
 from .optics import BeamSplitterParams, _Lanes, _splitter_formula, _unitarity_defects, beamsplitter_matrix
 
 if TYPE_CHECKING:
@@ -171,7 +172,7 @@ def stage_two(
         raise PurityViolated(
             f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
         )
-    alive, _, amps = _ScalarRules.normalized((complex(c.c0), 0j, complex(c.c2)))
+    alive, _, amps = _normalized((complex(c.c0), 0j, complex(c.c2)))
     if not alive:
         return 0.0, None
     heralded, p, amps = _stage_two(_ScalarRules, amps, beamsplitter_matrix(bs2))
@@ -242,26 +243,12 @@ class _ScalarRules:
     """The stages' rules on complex scalars: a failed check raises."""
 
     stored = staticmethod(_stored)
-
-    @staticmethod
-    def normalized(amps):
-        # normalize(StateVector(1, amps)): (True, the squared norm, the
-        # unit-norm amplitudes with 0j where StateVector stores none), or
-        # (False, 0.0, the pruned zeros) when no amplitude survives.
-        kept = [_stored(z) for z in amps]
-        if not any(kept):
-            return False, 0.0, kept
-        scaled, n2 = _unit_amplitudes(kept)
-        return True, n2, scaled
+    normalized = staticmethod(_normalized)
 
     @staticmethod
     def unit_norm(heralded, amps):
-        # The heralded state's squared norm with fidelity's check, 1.0
-        # where nothing is heralded.
-        n2 = _squared_norm(amps) if heralded else 1.0
-        if abs(n2 - 1.0) > fock.NORM_TOL:
-            raise NotNormalized(f"fidelity needs a normalized state, got squared norm {n2!r}")
-        return n2
+        # The heralded state's squared norm, 1.0 where nothing is heralded.
+        return _squared_norm(amps) if heralded else 1.0
 
 
 def _herald(amps) -> StateVector:
@@ -385,8 +372,8 @@ class _LaneRules:
         return _stored(z, self.take)
 
     def normalized(self, amps):
-        # _ScalarRules.normalized per lane: alive is a mask, and an
-        # overflowed square sets failed.
+        # fock._normalized per lane: alive is a mask, and an overflowed
+        # square sets failed.
         kept = [self.stored(z) for z in amps]
         alive = np.logical_or.reduce([~(z == 0) for z in kept])
         n2 = _squared_norm(kept, self.fail)
@@ -407,9 +394,7 @@ class _LaneRules:
 
     def unit_norm(self, heralded, amps):
         # _ScalarRules.unit_norm per lane.
-        n2 = np.where(heralded, _squared_norm(amps, self.fail), 1.0)
-        self.failed |= np.abs(n2 - 1.0) > fock.NORM_TOL
-        return n2
+        return np.where(heralded, _squared_norm(amps, self.fail), 1.0)
 
 
 def _per_element(fn, *args: np.ndarray) -> np.ndarray:

@@ -59,6 +59,15 @@ class TestStateVector:
         with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
             StateVector(1, {(0,): 1e200}).norm_squared
 
+    def test_amplitude_whose_modulus_overflows_is_package_error(self):
+        # Both parts are finite; only abs() of the complex overflows.
+        with pytest.raises(AmplitudeOverflow, match="modulus"):
+            StateVector(1, {(0,): complex(1.5e308, 1.5e308)})
+
+    def test_rejects_no_modes(self):
+        with pytest.raises(ValueError, match="mode count"):
+            StateVector(0, {})
+
     def test_rejects_wrong_occupation_length(self):
         with pytest.raises(ValueError):
             StateVector(2, {(0,): 1.0})

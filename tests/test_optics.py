@@ -72,6 +72,8 @@ class TestInterferometerUnitary:
     def test_rejects_non_square(self):
         with pytest.raises(NotSquare):
             InterferometerUnitary(np.zeros((2, 3)))
+        with pytest.raises(NotSquare, match="at least one mode"):
+            InterferometerUnitary(np.zeros((0, 0)))
 
     def test_rejects_non_unitary(self):
         bad = np.eye(2)

@@ -331,6 +331,20 @@ def test_batch_matches_run_scheme_field_by_field():
     assert {values[5] == 0.0 for values in got} == {True, False}
 
 
+def test_heralded_output_has_unit_norm():
+    # The fidelity divides by the heralded state's squared norm without
+    # checking it: those are the unit amplitudes stage 2 has just scaled,
+    # and the batch equals run_scheme field by field (above).
+    pairs = scalar_path_pairs(random.Random(20261019)) + edge_pairs(random.Random(14), 5_000)
+    states = [
+        run_scheme(input_from_probability(p1, h1), input_from_probability(p2, h2)).output_state
+        for p1, p2, h1, h2 in pairs
+    ]
+    drifts = [abs(s.norm_squared - 1.0) for s in states if s is not None]
+    assert len(drifts) > 2_000
+    assert max(drifts) <= 1e-14
+
+
 def test_batch_reads_the_prune_threshold_from_fock(monkeypatch):
     # Patching fock's constant alone moves both paths: at 1e-3 many more
     # amplitudes are pruned, and the batch still equals run_scheme.
