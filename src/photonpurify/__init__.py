@@ -62,7 +62,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "8.2.2"
+__version__ = "8.2.3"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"

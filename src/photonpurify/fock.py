@@ -195,7 +195,8 @@ def normalize(a: StateVector) -> tuple[StateVector, float]:
 # The helpers below are the per-amplitude rule, the squared norm and the
 # normalization: StateVector and InputState use the first two, and
 # normalize, ``measurement.condition`` and both stages in ``scheme`` share
-# _normalized, which ``scheme``'s lanes mirror with masks.
+# _normalized, on complex scalars and, through its hooks, on the lanes of
+# ``scheme``'s sweep batch.
 # They stay private so that tracing the package's public layers does not
 # wrap a call per amplitude.
 
@@ -248,18 +249,19 @@ def _overflow(amps) -> AmplitudeOverflow:
     )
 
 
-def _normalized(amps) -> tuple[bool, float, list[complex]]:
+def _normalized(amps, take=None, overflowed=None, sqrt=math.sqrt) -> tuple[bool, float, list[complex]]:
     """(alive, squared norm, unit amplitudes) of ``amps`` as a StateVector
-    stores them: each is pruned by :func:`_stored`, and (False, 0.0, the
-    zeros) comes back when none survives. A kept amplitude is at least
-    :data:`PRUNE_THRESHOLD`, so the squared norm is at least 1e-28, never
-    zero; the scaled amplitudes are pruned again, 0j where they fall below."""
-    kept = [_stored(z) for z in amps]
-    if not any(kept):
-        return False, 0.0, kept
-    n2 = _squared_norm(kept)
-    scale = 1.0 / math.sqrt(n2)
-    return True, n2, [_stored(a * scale) for a in kept]
+    stores them: each is pruned by :func:`_stored`, scaled by 1/sqrt of
+    the squared norm and pruned again, 0j where it falls below. A kept
+    amplitude is at least :data:`PRUNE_THRESHOLD`, so the squared norm is
+    at least 1e-28 exactly when one survives; where none does it is 0.0,
+    and the zeros come back scaled by 1.0. ``take`` and ``overflowed`` go
+    to :func:`_stored` and :func:`_squared_norm`, and ``sqrt`` is numpy's
+    on ``scheme``'s lanes, where ``alive`` is a mask."""
+    kept = [_stored(z, take) for z in amps]
+    n2 = _squared_norm(kept, overflowed)
+    scale = 1.0 / sqrt(n2 + (n2 == 0.0))
+    return n2 > 0.0, n2, [_stored(a * scale, take) for a in kept]
 
 
 @lru_cache(maxsize=None)

@@ -251,39 +251,34 @@ class _Lanes:
     ``+ - * /``, unary minus, ``abs``, ``conjugate`` and ``==`` give every
     lane the bits that CPython 3.10-3.12 gives the same operation on
     complexes: ``_Py_c_prod`` for products, and both Smith branches of
-    ``_Py_c_quot``, chosen per lane, for quotients. A float, ndarray or
-    complex operand on either side is promoted to a lane value, a real x
-    to (x, 0.0) as CPython promotes it. ``abs`` is ``np.hypot``, which
-    equals ``_Py_c_abs`` wherever that does not raise OverflowError.
-    ``__array_ufunc__ = None`` makes numpy defer to the reflected methods.
+    ``_Py_c_quot``, chosen per lane, for quotients. The other operand, on
+    either side, is read through ``.real`` and ``.imag``, which a lane
+    value shares with complex, float, int and ndarray; a real x has
+    ``.imag`` 0, so it acts as (x, 0.0), as CPython promotes it. ``abs``
+    is ``np.hypot``, which equals ``_Py_c_abs`` wherever that does not
+    raise OverflowError. ``__array_ufunc__ = None`` makes numpy defer to
+    the reflected methods.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
     __array_ufunc__ = None
 
-    def __init__(self, re, im=0.0):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def of(x) -> _Lanes:
-        # A float, ndarray or complex: a real's .imag is 0.0.
-        return x if isinstance(x, _Lanes) else _Lanes(x.real, x.imag)
+    def __init__(self, real, imag=0.0):
+        self.real, self.imag = real, imag
 
     def __add__(self, other):
-        o = _Lanes.of(other)
-        return _Lanes(self.re + o.re, self.im + o.im)
+        return _Lanes(self.real + other.real, self.imag + other.imag)
 
     def __sub__(self, other):
-        o = _Lanes.of(other)
-        return _Lanes(self.re - o.re, self.im - o.im)
+        return _Lanes(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
-        return _Lanes.of(other) - self
+        return _Lanes(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
         # _Py_c_prod
-        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
-        return _Lanes(ar * o.re - ai * o.im, ar * o.im + ai * o.re)
+        (ar, ai), (br, bi) = (self.real, self.imag), (other.real, other.imag)
+        return _Lanes(ar * br - ai * bi, ar * bi + ai * br)
 
     # IEEE-754 sums and products commute, signed zeros included.
     __radd__, __rmul__ = __add__, __mul__
@@ -291,8 +286,8 @@ class _Lanes:
     def __truediv__(self, other):
         # _Py_c_quot: Smith's method, scaling by the larger part of the
         # divisor. Both branches are evaluated and each lane keeps its own.
-        (ar, ai), o = (self.re, self.im), _Lanes.of(other)
-        br, bi = np.asarray(o.re, dtype=float), np.asarray(o.im, dtype=float)
+        ar, ai = self.real, self.imag
+        br, bi = np.asarray(other.real, dtype=float), np.asarray(other.imag, dtype=float)
         by_real = np.abs(br) >= np.abs(bi)
         ratio = bi / br
         denom = br + bi * ratio
@@ -305,24 +300,23 @@ class _Lanes:
         return _Lanes(real, imag)
 
     def __rtruediv__(self, other):
-        return _Lanes.of(other) / self
+        return _Lanes(other.real, other.imag) / self
 
     def __neg__(self):
-        return _Lanes(-self.re, -self.im)
+        return _Lanes(-self.real, -self.imag)
 
     def __abs__(self):
-        return np.hypot(self.re, self.im)
+        return np.hypot(self.real, self.imag)
 
     def conjugate(self):
-        return _Lanes(self.re, -self.im)
+        return _Lanes(self.real, -self.imag)
 
     def __eq__(self, other):
-        o = _Lanes.of(other)
-        return (self.re == o.re) & (self.im == o.im)
+        return (self.real == other.real) & (self.imag == other.imag)
 
     def where(self, keep) -> _Lanes:
         """The lanes where ``keep``, 0.0 elsewhere."""
-        return _Lanes(np.where(keep, self.re, 0.0), np.where(keep, self.im, 0.0))
+        return _Lanes(np.where(keep, self.real, 0.0), np.where(keep, self.imag, 0.0))
 
 
 #: Transitions per pass of ``_ryser_stack``, and Gray-code steps times
@@ -380,7 +374,7 @@ def _ryser_stack(mats: np.ndarray) -> np.ndarray:
             # The sign scales the parts: a complex product by (-1, 0)
             # would turn an inf part times 0.0 into NaN.
             signs = sign[start : start + block]
-            pr, pi = prod.re * signs, prod.im * signs
+            pr, pi = prod.real * signs, prod.imag * signs
             pr[0] += total_re
             pi[0] += total_im
             total_re = np.cumsum(pr, axis=0)[-1]

@@ -46,15 +46,16 @@ parts. The lane rules that keep ``run_scheme``'s bits:
 * atan, atan2, cos, sin and exp run per element through Python floats,
   since numpy's own versions do not always give libm's bits; squares are
   ``h * h``, one IEEE-754 multiply on either;
-* per-pair branches (t1 == 0, t2 == 0, nothing heralded) become masks.
+* per-pair branches (t1 == 0, t2 == 0) become masks, and a squared norm
+  of 0.0, where nothing survives, divides as ``n2 + (n2 == 0.0)`` on both.
 
 A rules object holds what a scalar run raises on and a batch flags per
 lane: ``_ScalarRules`` raises, ``_LaneRules`` sets its ``failed`` mask.
-Both prune through ``fock._stored`` and square through
-``fock._squared_norm``; ``_ScalarRules`` normalizes with
-``fock._normalized``, as ``fock.normalize`` and ``measurement.condition``
-do, and ``_LaneRules`` with its per-lane mirror. The lanes also check the
-splitter's ranges and its unitarity through ``optics``' own defects.
+Both prune through ``fock._stored``, square through ``fock._squared_norm``
+and normalize with ``fock._normalized``, as ``fock.normalize`` and
+``measurement.condition`` do; the lanes pass its hooks their masks and
+numpy's sqrt. The lanes also check the splitter's ranges and its
+unitarity through ``optics``' own defects.
 Every constant is read from its owning module when it is used. A chunk
 with a failing pair re-runs its first one through ``run_scheme``, which
 raises that pair's error. A single pair stays on the scalar path, which
@@ -152,7 +153,11 @@ def solve_cancellation(
     if t1 == 0:
         return BeamSplitterParams(0.0, 0.0), False
     ratio = -t1 / t2
-    return BeamSplitterParams(math.atan(abs(ratio)), cmath.phase(ratio)), False
+    try:
+        size = abs(ratio)
+    except OverflowError:  # finite parts, modulus past the float range
+        size = math.inf
+    return BeamSplitterParams(math.atan(size), cmath.phase(ratio)), False
 
 
 def stage_two(
@@ -218,13 +223,16 @@ def _stage_two(rules, amps, m):
     return rules.normalized((0j + r1 * m11, 0j + r2 / _SQRT2 * (m01 * m11 + m01 * m11)))
 
 
-def _fidelity(rules, heralded, amps):
+def _fidelity(rules, amps):
     """``fidelity`` to |1> of the state heralded with stage 2's unit
     amplitudes (r0, r1), 0.0 where none is: |r1|^2 / (0.0 + |r0|^2 +
     |r1|^2), that route's bits, since |1>'s squared norm is 1.0 and
-    conj(r1) * (1+0j) changes at most the sign of a zero part of r1."""
+    conj(r1) * (1+0j) changes at most the sign of a zero part of r1.
+    Nothing is heralded exactly where that squared norm is 0.0, and there
+    |r1|^2 = 0.0 is divided by 1.0."""
     h = abs(amps[1])
-    return h * h / rules.unit_norm(heralded, amps)
+    n2 = _squared_norm(amps, rules.fail)
+    return h * h / (n2 + (n2 == 0.0))
 
 
 def _reason_code(alpha1, beta1, alpha2, beta2, vacuous):
@@ -244,11 +252,8 @@ class _ScalarRules:
 
     stored = staticmethod(_stored)
     normalized = staticmethod(_normalized)
-
-    @staticmethod
-    def unit_norm(heralded, amps):
-        # The heralded state's squared norm, 1.0 where nothing is heralded.
-        return _squared_norm(amps) if heralded else 1.0
+    # _squared_norm's overflow hook: none, so an overflow raises.
+    fail = None
 
 
 def _herald(amps) -> StateVector:
@@ -286,7 +291,7 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
         stage_one_probability=p1,
         stage_two_probability=p2,
         p_success=p1 * p2,
-        output_fidelity=_fidelity(_ScalarRules, heralded, amps),
+        output_fidelity=_fidelity(_ScalarRules, amps),
         degenerate=bool(reasons),
         degenerate_reasons=reasons,
         output_state=_herald(amps) if heralded else None,
@@ -372,14 +377,7 @@ class _LaneRules:
         return _stored(z, self.take)
 
     def normalized(self, amps):
-        # fock._normalized per lane: alive is a mask, and an overflowed
-        # square sets failed.
-        kept = [self.stored(z) for z in amps]
-        alive = np.logical_or.reduce([~(z == 0) for z in kept])
-        n2 = _squared_norm(kept, self.fail)
-        # A lane where nothing survives scales its zeros by 1.0.
-        scale = 1.0 / np.sqrt(np.where(alive, n2, 1.0))
-        return alive, n2, [self.stored(z * scale) for z in kept]
+        return _normalized(amps, self.take, self.fail, np.sqrt)
 
     def splitter(self, theta, phi):
         # beamsplitter_matrix(BeamSplitterParams(theta, phi)) per lane,
@@ -391,10 +389,6 @@ class _LaneRules:
         for defect in _unitarity_defects(m):
             self.failed |= ~(defect <= optics.UNITARITY_TOL)
         return m
-
-    def unit_norm(self, heralded, amps):
-        # _ScalarRules.unit_norm per lane.
-        return np.where(heralded, _squared_norm(amps, self.fail), 1.0)
 
 
 def _per_element(fn, *args: np.ndarray) -> np.ndarray:
@@ -409,30 +403,27 @@ def _batch_chunk(first, second):
     whose scalar run raises)."""
     rules = _LaneRules(first.shape[1])
     inputs = [_Lanes(x[k], x[k + 1]) for x in (first, second) for k in (0, 2)]
-    theta, phi, vacuous = _solve_cancellation_lanes(rules, *inputs)
+    theta, phi, vacuous = _solve_cancellation_lanes(*inputs)
     _, p1, amps = _stage_one(rules, *inputs, rules.splitter(theta, phi))
-    heralded, p2, amps = _stage_two(rules, amps, _STAGE_TWO_MATRIX)
-    fid = _fidelity(rules, heralded, amps)
+    _, p2, amps = _stage_two(rules, amps, _STAGE_TWO_MATRIX)
+    fid = _fidelity(rules, amps)
     codes = _reason_code(*inputs, vacuous)
     return _BatchColumns(theta, phi, p1, p2, p1 * p2, fid, codes), rules.failed
 
 
-def _solve_cancellation_lanes(rules, alpha1, beta1, alpha2, beta2):
+def _solve_cancellation_lanes(alpha1, beta1, alpha2, beta2):
     # solve_cancellation per lane: (theta, phi, vacuous).
     t1, t2 = alpha2 * beta1, alpha1 * beta2
     t1_zero, t2_zero = t1 == 0, t2 == 0
     vacuous = t1_zero & t2_zero
     solved = ~(t1_zero | t2_zero)
     ratio = -t1 / t2
-    size = abs(ratio)
-    # abs(ratio) raises OverflowError where finite parts overflow.
-    rules.failed |= solved & np.isfinite(ratio.re) & np.isfinite(ratio.im) & np.isinf(size)
     theta = np.where(
         solved,
-        _per_element(math.atan, size),
+        _per_element(math.atan, abs(ratio)),
         np.where(vacuous, math.pi / 4, np.where(t2_zero, math.pi / 2, 0.0)),
     )
-    phi = np.where(solved, _per_element(math.atan2, ratio.im, ratio.re), np.where(vacuous, math.pi, 0.0))
+    phi = np.where(solved, _per_element(math.atan2, ratio.imag, ratio.real), np.where(vacuous, math.pi, 0.0))
     return theta, phi, vacuous
 
 

@@ -5,8 +5,10 @@ operations must give every lane the bits CPython gives the same operation
 on a ``complex``. Both are compared by ``repr``, which shows the last bit
 and the sign of a zero. The operands are built from parts that reach the
 special cases: signed zeros, the smallest subnormal, a part near overflow,
-infinities and NaN, with divisors on both Smith branches. Cases where
-CPython raises (a zero divisor, an ``abs`` that overflows) are skipped.
+infinities and NaN, with divisors on both Smith branches. The other operand
+may be a lane value, a complex, a float, an int or a float64 ndarray, each
+read through ``.real`` and ``.imag``. Cases where CPython raises (a zero
+divisor, an ``abs`` that overflows) are skipped.
 """
 
 import math
@@ -27,7 +29,7 @@ def lanes(values) -> _Lanes:
 
 
 def lane_reprs(result: _Lanes, n: int) -> list[str]:
-    re, im = (np.broadcast_to(part, n).tolist() for part in (result.re, result.im))
+    re, im = (np.broadcast_to(part, n).tolist() for part in (result.real, result.imag))
     return [repr(complex(r, i)) for r, i in zip(re, im)]
 
 
@@ -67,18 +69,23 @@ def test_binary_operators_between_lanes(op):
     assert assert_same(got, python_reprs(op, left, right)) > 0.9 * len(left)
 
 
+def float_array(x: float) -> np.ndarray:
+    # A float64 operand holding x in every lane, compared with the float x.
+    return np.full(len(VALUES), x)
+
+
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
-@pytest.mark.parametrize("kind", [complex, float])
+@pytest.mark.parametrize("kind", [complex, float, float_array], ids=["complex", "float", "ndarray"])
 @pytest.mark.parametrize("lanes_first", [True, False], ids=["lanes-op-x", "x-op-lanes"])
 def test_binary_operators_with_a_python_operand(op, kind, lanes_first):
     column = lanes(VALUES)
     operands = VALUES if kind is complex else list(PARTS)
     for x in operands:
-        x = kind(x)
+        operand = kind(x)
         if lanes_first:
-            got, want = op(column, x), python_reprs(op, VALUES, [x] * len(VALUES))
+            got, want = op(column, operand), python_reprs(op, VALUES, [x] * len(VALUES))
         else:
-            got, want = op(x, column), python_reprs(op, [x] * len(VALUES), VALUES)
+            got, want = op(operand, column), python_reprs(op, [x] * len(VALUES), VALUES)
         assert isinstance(got, _Lanes)
         assert_same(lane_reprs(got, len(VALUES)), want)
 
@@ -99,4 +106,6 @@ def test_unary_operations():
 
 
 def test_equality_with_zero():
-    assert (lanes(VALUES) == 0).tolist() == [z == 0 for z in VALUES]
+    # ``t1 == 0`` in the batch compares lanes with the int 0.
+    for zero in (0, 0.0, -0.0, 0j, np.zeros(len(VALUES))):
+        assert (lanes(VALUES) == zero).tolist() == [z == 0 for z in VALUES]

@@ -278,15 +278,20 @@ def test_scalar_unitarity_check_accepts_within_tolerance():
 # phases and a large seeded set, which spans many batch chunks.
 
 
-def batch_and_scalar(pairs):
-    states = [input_from_probability(p, phase) for p1, p2, h1, h2 in pairs for p, phase in ((p1, h1), (p2, h2))]
-    index = np.arange(len(states)).reshape(-1, 2)
+def batch_values(states, index) -> list[tuple]:
+    # _run_batch's fields per pair, in scalar_fields' order.
     got = []
     for chunk in scheme._run_batch(states, index):
         values = [column.tolist() for column in chunk[:6]] + [chunk.degenerate.tolist(), chunk.degenerate_reasons()]
         got += zip(*values)
+    return got
+
+
+def batch_and_scalar(pairs):
+    states = [input_from_probability(p, phase) for p1, p2, h1, h2 in pairs for p, phase in ((p1, h1), (p2, h2))]
+    index = np.arange(len(states)).reshape(-1, 2)
     want = [run_scheme(states[i], states[j]) for i, j in index.tolist()]
-    return got, want
+    return batch_values(states, index), want
 
 
 BATCH_FIELDS = (
@@ -395,8 +400,6 @@ def unchecked_input(alpha: complex, beta: complex) -> InputState:
     [
         # A non-finite amplitude, which _stored rejects.
         (input_from_probability(0.6), unchecked_input(complex(math.inf, 0.0), 0j), ValueError, "non-finite"),
-        # -t1 / t2 has finite parts near 1.4e308, so abs(ratio) overflows.
-        (InputState(1e-200, cmath.exp(1j * math.pi / 4)), InputState(1.0, 5e-109), OverflowError, "too large"),
     ],
 )
 def test_batch_raises_a_failure_past_the_first_chunk_like_run_scheme(in1, in2, kind, words):
@@ -410,3 +413,17 @@ def test_batch_raises_a_failure_past_the_first_chunk_like_run_scheme(in1, in2, k
     with pytest.raises(kind) as info:
         next(chunks)
     assert str(info.value) == message
+
+
+def test_cancellation_ratio_past_the_float_range_gives_a_right_angle():
+    # -t1 / t2 has finite parts near -1.41e308, so its modulus overflows:
+    # Python's abs raises OverflowError, numpy's hypot gives inf, and the
+    # angle is atan(inf) = pi/2 on both paths.
+    in1, in2 = InputState(1e-200, cmath.exp(1j * math.pi / 4)), InputState(1.0, 5e-109)
+    assert run_scheme(in1, in2).lambda1.theta == solve_cancellation(in1, in2)[0].theta == math.pi / 2
+    assert math.isfinite(scheme.closed_form_success(in1, in2))
+    states = [in1, in2]
+    index = np.array([(0, 1), (1, 0)])
+    for (i, j), values in zip(index.tolist(), batch_values(states, index)):
+        want = scalar_fields(run_scheme(states[i], states[j]))
+        assert [repr(v) for v in values] == [repr(v) for v in want], (i, j)
