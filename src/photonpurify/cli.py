@@ -74,9 +74,11 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
+        # the error for an integer literal past int's digit limit.
         try:
             data = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid(f"{path}: top level must be a JSON object")
@@ -86,7 +88,10 @@ def _load_json(path: str) -> dict:
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past the float range
+        raise ConfigInvalid(f"{name} is too large for a float") from exc
 
 
 def _check_keys(data: dict, allowed: set, where: str) -> None:

@@ -41,11 +41,16 @@ bit. :func:`permanent` on a single matrix, and ``apply`` on a sector
 with a single transition, keep the scalar kernel, which reads the matrix
 once with ``tolist``; a stack of one costs far more.
 The scheme calls neither ``apply`` nor ``beamsplitter``: its states hold
-at most two photons, and its stages take each splitter's entries and
-unitarity defects from the helpers behind :func:`beamsplitter_matrix`,
-on scalars and on the sweep's lanes. ``beamsplitter`` and ``apply`` are
-the general engine that the scheme's tests compare against and that
-``verify`` checks; only those oracle checks reach the permanents.
+at most two photons, and its stages take each splitter's entries from
+``_splitter_formula``, on scalars through :func:`beamsplitter_matrix`
+and on the sweep's lanes. Those entries are not checked for unitarity:
+for every (theta, phi) that ``BeamSplitterParams`` admits, each entry of
+U^dag U - I is a few ulp, far inside ``UNITARITY_TOL``, since
+|e^{i phi}| is within an ulp of 1. ``beamsplitter`` wraps the same
+entries in :class:`InterferometerUnitary`, which checks every matrix it
+is given. ``beamsplitter`` and ``apply`` are the general engine that the
+scheme's tests compare against and that ``verify`` checks; only those
+oracle checks reach the permanents.
 """
 
 from __future__ import annotations
@@ -121,58 +126,24 @@ Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 def _splitter_formula(c, s, ph) -> Matrix2:
     # The splitter's entries from cos(theta) as a complex, sin(theta) and
-    # e^{i phi}: written once for both forms below and for the sweep
+    # e^{i phi}: written once for beamsplitter_matrix and for the sweep
     # batch's lanes in ``scheme``.
     return ((c, ph * s), (-s / ph, c))
 
 
-def _splitter_entries(params: BeamSplitterParams) -> Matrix2:
-    theta, phi = params.theta, params.phi
-    return _splitter_formula(complex(math.cos(theta)), math.sin(theta), cmath.exp(1j * phi))
-
-
-def _unitarity_defects(m) -> tuple:
-    # |U^dag U - I| entry by entry, for a 2x2 matrix of nested rows of
-    # complex scalars or of the sweep batch's lanes.
-    (a, b), (c, d) = m
-    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    return (
-        abs(ac * a + cc * c - 1.0),
-        abs(ac * b + cc * d),
-        abs(bc * a + dc * c),
-        abs(bc * b + dc * d - 1.0),
-    )
-
-
-def check_unitary_2x2(m: Matrix2) -> None:
-    """Raise NotUnitary unless every entry of U^dag U - I is within
-    UNITARITY_TOL, for a 2x2 matrix given as nested rows of scalars.
-
-    The scalar counterpart of ``InterferometerUnitary``'s check, with the
-    same tolerance; an entry that is NaN fails.
-    """
-    for defect in _unitarity_defects(m):
-        if not defect <= UNITARITY_TOL:
-            raise NotUnitary(
-                f"|U^dag U - I| entry {defect:.3e} exceeds {UNITARITY_TOL:.0e}"
-            )
-
-
 def beamsplitter_matrix(params: BeamSplitterParams) -> Matrix2:
-    """The splitter's matrix as nested rows of Python complexes, checked by
-    :func:`check_unitary_2x2`.
+    """The splitter's matrix as nested rows of Python complexes.
 
     Equal entry for entry to ``beamsplitter(params).matrix.tolist()``, with
     no numpy on the way; the scheme evaluates its stages on these.
     """
-    m = _splitter_entries(params)
-    check_unitary_2x2(m)
-    return m
+    theta, phi = params.theta, params.phi
+    return _splitter_formula(complex(math.cos(theta)), math.sin(theta), cmath.exp(1j * phi))
 
 
 def beamsplitter(params: BeamSplitterParams) -> InterferometerUnitary:
     """Two-mode unitary for the given mixing angle and phase."""
-    return InterferometerUnitary(_splitter_entries(params))
+    return InterferometerUnitary(beamsplitter_matrix(params))
 
 
 @lru_cache(maxsize=None)

@@ -54,8 +54,10 @@ lane: ``_ScalarRules`` raises, ``_LaneRules`` sets its ``failed`` mask.
 Both prune through ``fock._stored``, square through ``fock._squared_norm``
 and normalize with ``fock._normalized``, as ``fock.normalize`` and
 ``measurement.condition`` do; the lanes pass its hooks their masks and
-numpy's sqrt. The lanes also check the splitter's ranges and its
-unitarity through ``optics``' own defects.
+numpy's sqrt. The lanes also check the splitter's ranges, as
+``BeamSplitterParams`` does on scalars; neither path checks the
+splitter's unitarity, which its formula keeps to a few ulp (see
+``optics``).
 Every constant is read from its owning module when it is used. A chunk
 with a failing pair re-runs its first one through ``run_scheme``, which
 raises that pair's error. A single pair stays on the scalar path, which
@@ -71,10 +73,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from . import optics
 from .errors import OutOfRange, PurityViolated
 from .fock import InputState, StateVector, _normalized, _squared_norm, _stored
-from .optics import BeamSplitterParams, _Lanes, _splitter_formula, _unitarity_defects, beamsplitter_matrix
+from .optics import BeamSplitterParams, _Lanes, _splitter_formula, beamsplitter_matrix
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -349,14 +350,6 @@ def _run_batch(states, index) -> Iterator[_BatchColumns]:
         yield columns
 
 
-def _grid_index(n_p1: int, n_p2: int, n_h1: int, n_h2: int, second: int = 0) -> np.ndarray:
-    """``_run_batch``'s index for the (p1, p2, phase1, phase2) grid in
-    row-major order, with each side's inputs listed p-major by (p, phase):
-    side 1's from position 0, side 2's from position ``second``."""
-    i1, i2, j1, j2 = np.indices((n_p1, n_p2, n_h1, n_h2)).reshape(4, -1)
-    return np.column_stack((i1 * n_h1 + j1, second + i2 * n_h2 + j2))
-
-
 class _LaneRules:
     """The stages' rules on ``_Lanes``: a check that raises on scalars
     sets ``failed`` on the lanes where it fails instead."""
@@ -385,10 +378,7 @@ class _LaneRules:
         self.failed |= ~((theta >= 0.0) & (theta <= math.pi / 2) & (phi >= -math.pi) & (phi <= math.pi))
         ph = np.fromiter(map(cmath.exp, [1j * x for x in phi.tolist()]), complex, len(phi))
         c = _Lanes(_per_element(math.cos, theta))
-        m = _splitter_formula(c, _per_element(math.sin, theta), _Lanes(ph.real, ph.imag))
-        for defect in _unitarity_defects(m):
-            self.failed |= ~(defect <= optics.UNITARITY_TOL)
-        return m
+        return _splitter_formula(c, _per_element(math.sin, theta), _Lanes(ph.real, ph.imag))
 
 
 def _per_element(fn, *args: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigInvalid
 from .fock import input_from_probability
-from .scheme import SchemeResult, _grid_index, _run_batch, run_scheme
+from .scheme import SchemeResult, _run_batch, run_scheme
 
 #: The row layout, in CSV column order: the grid axes, the scheme's
 #: results, then the degenerate flag, the one field that is not a number.
@@ -196,10 +196,13 @@ def _walk(cfg: SweepConfig, axis: Callable[[list[float]], list]) -> Iterator[tup
         index = np.repeat(np.arange(len(p))[:, None], 2, axis=1)
     else:
         p2s, h2s = cfg.p2.points(), cfg.phase2.points()
-        second = len(p)
+        # Row-major over (p1, p2, phase1, phase2); side 2's inputs follow side 1's.
+        i1, i2, j1, j2 = np.indices((len(p1s), len(p2s), len(h1s), len(h2s))).reshape(4, -1)
+        index = np.column_stack((i1 * len(h1s) + j1, len(p) + i2 * len(h2s) + j2))
+        # The index grids would otherwise stay alive for the whole walk.
+        del i1, i2, j1, j2
         p += [x for x in p2s for _ in h2s]
         phase += list(h2s) * len(p2s)
-        index = _grid_index(len(p1s), len(p2s), len(h1s), len(h2s), second)
     states = list(map(input_from_probability, p, phase))
     # Rebinding frees the float lists: a diagonal holds one input per point.
     p, phase = (np.array(axis(values), dtype=object) for values in (p, phase))

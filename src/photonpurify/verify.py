@@ -2,8 +2,8 @@
 
 Six named checks: unitarity (two-mode splitters), norm-preservation,
 permanent-vs-oracle, apply-vs-oracle, purity-grid, and dominance (simulated
-identical-input runs against p^2/4 and 16p^3/81). purity-grid runs on the
-sweep's batch route (``scheme._run_batch``), dominance on ``run_scheme``.
+identical-input runs against p^2/4 and 16p^3/81). purity-grid runs a sweep
+(``sweep.sweep_rows``), dominance runs ``run_scheme``.
 Each returns a CheckResult with a worst-case defect so failures carry
 numbers, not just a flag.
 """
@@ -30,7 +30,7 @@ from .optics import (
     permanent,
     unitarity_defect,
 )
-from .scheme import _grid_index, _run_batch, run_scheme, success_curve_new, success_curve_old
+from .scheme import run_scheme, success_curve_new, success_curve_old
 
 NORM_TOL = 1e-12
 ORACLE_TOL = 1e-12
@@ -176,18 +176,18 @@ def amplitude_distance(a: StateVector, b: StateVector) -> float:
 def check_purity_grid() -> CheckResult:
     """Non-degenerate scheme runs herald |1> with fidelity 1 - 1e-10.
 
-    A coarse 10x10x4x4 grid; the acceptance suite sweeps the full one.
-    Its 40 inputs are built once and its points evaluated by
-    ``scheme._run_batch``, the sweep's route, which equals ``run_scheme``
-    bit for bit.
+    A coarse 10x10x4x4 grid, p in [0.05, 0.95] and phases 0, pi/2, pi
+    and 3pi/2 on both inputs, evaluated by ``sweep.sweep_rows``, which
+    equals ``run_scheme`` bit for bit; the acceptance suite sweeps the
+    full grid.
     """
-    ps = np.linspace(0.05, 0.95, 10).tolist()
-    phases = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False).tolist()
-    # both sides draw from the same 40 inputs
-    states = [input_from_probability(p, ph) for p in ps for ph in phases]
-    index = _grid_index(len(ps), len(ps), len(phases), len(phases))
-    deficits = [1.0 - res.output_fidelity[~res.degenerate] for res in _run_batch(states, index)]
-    worst = _worst(np.concatenate(deficits))
+    # Imported here: sweep (with json) adds about 7 ms to every
+    # ``import photonpurify``, and no other check needs it.
+    from .sweep import RangeSpec, SweepConfig, sweep_rows
+
+    p, ph = RangeSpec(0.05, 0.95, 10), RangeSpec(0.0, 1.5 * math.pi, 4)
+    rows = sweep_rows(SweepConfig(p, p, ph, ph))
+    worst = _worst([1.0 - row["fidelity"] for row in rows if not row["degenerate"]])
     return CheckResult(
         "purity-grid", worst <= PURITY_TOL, f"max fidelity deficit {worst:.3e} on 10x10x4x4 grid"
     )

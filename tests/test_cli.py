@@ -321,6 +321,10 @@ BAD_CONFIGS = {
     "numeric-out": ("sweep", {"out": 3}),
     "list-plot": ("sweep", {"plot": ["curves.svg"]}),
     "sweep-format-table": ("sweep", {"format": "table"}),
+    # Integers past the float range, and past int's digit limit for parsing.
+    "huge-int-p": ("run", {"input1": {"p": 10**400}, "input2": {"p": 0.5}}),
+    "huge-int-start": ("sweep", {"p1": dict(UNIT, start=10**400)}),
+    "too-many-digits": ("run", b'{"input1": {"p": 1' + b"0" * 4400 + b"}}"),
 }
 
 

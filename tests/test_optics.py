@@ -20,7 +20,7 @@ from photonpurify import (
     vacuum,
 )
 from photonpurify import optics
-from photonpurify.optics import permanent_kernel
+from photonpurify.optics import beamsplitter_matrix, permanent_kernel, unitarity_defect
 from photonpurify.verify import amplitude_distance, permanent_naive, random_state, random_unitary
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -67,6 +67,25 @@ class TestBeamsplitter:
             defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(2)))
             assert defect < 1e-12
 
+    def test_splitter_formula_is_unitary_to_a_few_ulp(self):
+        # The scheme builds its splitters from beamsplitter_matrix without a
+        # unitarity check: over the edges of BeamSplitterParams' ranges and
+        # random pairs, every entry of U^dag U - I stays within 1e-15, far
+        # inside UNITARITY_TOL.
+        half_pi = math.pi / 2
+        thetas = (0.0, 5e-324, 1e-300, math.pi / 4, half_pi, math.nextafter(half_pi, 0.0))
+        phis = [0.0, -0.0, 5e-324]
+        for edge in (math.pi, math.nextafter(math.pi, 0.0)):
+            phis += [edge, -edge]
+        rng = np.random.default_rng(23)
+        pairs = [(theta, phi) for theta in thetas for phi in phis]
+        pairs += zip(rng.uniform(0.0, half_pi, 20_000), rng.uniform(-math.pi, math.pi, 20_000))
+        worst = max(
+            unitarity_defect(np.array(beamsplitter_matrix(BeamSplitterParams(float(t), float(p)))))
+            for t, p in pairs
+        )
+        assert worst <= 1e-15
+
 
 class TestInterferometerUnitary:
     def test_rejects_non_square(self):
@@ -78,8 +97,19 @@ class TestInterferometerUnitary:
     def test_rejects_non_unitary(self):
         bad = np.eye(2)
         bad[0, 1] = 1e-6
-        with pytest.raises(NotUnitary):
-            InterferometerUnitary(bad)
+        for m in (
+            bad,
+            [[1.0, 0.0], [0.0, 1.0 + 1e-9]],
+            [[1.0, 1e-9], [0.0, 1.0]],
+            [[0.6, 0.8], [0.8, 0.6]],
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, complex(0.0, math.nan)]],
+        ):
+            with pytest.raises(NotUnitary):
+                InterferometerUnitary(m)
+
+    def test_accepts_within_tolerance(self):
+        InterferometerUnitary([[1.0, 0.0], [0.0, 1.0 + 4e-11]])
 
     def test_rejects_nan_matrix(self):
         with pytest.raises(NotUnitary):

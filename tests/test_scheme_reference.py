@@ -24,7 +24,6 @@ from photonpurify import (
     BeamSplitterParams,
     InputState,
     InterferometerUnitary,
-    NotUnitary,
     StageOneCoefficients,
     StateVector,
     apply,
@@ -36,7 +35,6 @@ from photonpurify import (
     input_from_probability,
     input_to_state,
     normalize,
-    optics,
     run_scheme,
     scheme,
     solve_cancellation,
@@ -45,7 +43,7 @@ from photonpurify import (
     vacuum,
 )
 from photonpurify.fock import PRUNE_THRESHOLD
-from photonpurify.optics import beamsplitter_matrix, check_unitary_2x2
+from photonpurify.optics import beamsplitter_matrix
 from photonpurify.scheme import (
     CANCELLATION_VACUOUS,
     NO_PHOTON_PAIR,
@@ -251,28 +249,6 @@ def test_scalar_splitter_matches_numpy_splitter():
             assert all(type(z) is complex for row in scalar for z in row)
 
 
-@pytest.mark.parametrize(
-    "m",
-    [
-        [[1.0, 0.0], [0.0, 1.0 + 1e-9]],
-        [[1.0, 1e-9], [0.0, 1.0]],
-        [[0.6, 0.8], [0.8, 0.6]],
-        [[math.nan, 0.0], [0.0, 1.0]],
-        [[1.0, 0.0], [0.0, complex(0.0, math.nan)]],
-    ],
-)
-def test_scalar_unitarity_check_rejects_what_the_numpy_check_rejects(m):
-    with pytest.raises(NotUnitary):
-        InterferometerUnitary(m)
-    with pytest.raises(NotUnitary):
-        check_unitary_2x2([[complex(z) for z in row] for row in m])
-
-
-def test_scalar_unitarity_check_accepts_within_tolerance():
-    check_unitary_2x2([[1.0 + 0j, 0j], [0j, 1.0 + 4e-11]])
-    check_unitary_2x2(beamsplitter_matrix(BeamSplitterParams(0.7, -2.0)))
-
-
 # The sweep's batch (``scheme._run_batch``) against ``run_scheme``, field
 # by field: the golden pin's pairs, the smallest probabilities, signed zero
 # phases and a large seeded set, which spans many batch chunks.
@@ -372,21 +348,6 @@ def first_scalar_error(states, index):
     raise AssertionError("no pair fails")
 
 
-def test_batch_raises_the_first_unitarity_failure_like_run_scheme(monkeypatch):
-    # At a zero tolerance only the exact splitters of (1, 0) and (0, 1)
-    # pass; every later pair fails with its own defect.
-    # Only optics' constant is patched: the batch reads it from there.
-    monkeypatch.setattr(optics, "UNITARITY_TOL", 0.0)
-    states = [input_from_probability(p, 0.4) for p in (1.0, 0.0, 0.25, 0.5, 0.75)]
-    index = np.array([(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
-    k, kind, message = first_scalar_error(states, index)
-    assert (k, kind) == (2, NotUnitary)
-    with pytest.raises(NotUnitary) as info:
-        for _ in scheme._run_batch(states, index):
-            pass
-    assert str(info.value) == message
-
-
 def unchecked_input(alpha: complex, beta: complex) -> InputState:
     # InputState refuses a non-finite amplitude; build one around the check.
     state = object.__new__(InputState)
@@ -398,18 +359,23 @@ def unchecked_input(alpha: complex, beta: complex) -> InputState:
 @pytest.mark.parametrize(
     "in1, in2, kind, words",
     [
-        # A non-finite amplitude, which _stored rejects.
+        # A non-finite amplitude, which _stored rejects: first in the
+        # second chunk, then in the first chunk, ahead of many more
+        # failing pairs.
         (input_from_probability(0.6), unchecked_input(complex(math.inf, 0.0), 0j), ValueError, "non-finite"),
+        (unchecked_input(complex(math.inf, 0.0), 0j), input_from_probability(0.6), ValueError, "non-finite"),
     ],
 )
 def test_batch_raises_a_failure_past_the_first_chunk_like_run_scheme(in1, in2, kind, words):
     states = [input_from_probability(0.3, 0.2), in1, in2]
-    rows = [(0, 1)] * (scheme._BATCH_CHUNK + 5) + [(1, 2), (2, 0)]
+    rows = [(0, 0)] * 3 + [(0, 1)] * (scheme._BATCH_CHUNK + 2) + [(1, 2), (2, 0)]
     index = np.array(rows)
     k, got_kind, message = first_scalar_error(states, index)
-    assert (k, got_kind) == (len(rows) - 2, kind) and words in message
+    assert k in (3, len(rows) - 2) and got_kind == kind and words in message
     chunks = scheme._run_batch(states, index)
-    next(chunks)
+    # The chunks before the failing pair's yield; its own raises.
+    for _ in range(k // scheme._BATCH_CHUNK):
+        next(chunks)
     with pytest.raises(kind) as info:
         next(chunks)
     assert str(info.value) == message

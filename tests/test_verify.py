@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,10 +122,17 @@ class TestRunChecks:
         assert result.name == "norm-preservation"
         assert not result.passed
 
+    def test_package_import_leaves_sweep_unloaded(self):
+        # check_purity_grid imports sweep when it runs: at the top of verify,
+        # sweep and json would load on every start-up.
+        code = "import sys, photonpurify; print(sorted({'json', 'photonpurify.sweep'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.stdout == "[]\n", proc.stderr
+
     def test_purity_grid_equals_run_scheme_per_point(self):
-        """The batch route reports the same worst deficit as ``run_scheme``
-        called on each of the 1,600 points (the batch equals ``run_scheme``
-        bit for bit; ``test_scheme_reference`` checks that)."""
+        """The sweep route reports the same worst deficit as ``run_scheme``
+        called on each of the 1,600 points (the sweep's batch equals
+        ``run_scheme`` bit for bit; ``test_scheme_reference`` checks that)."""
         ps = np.linspace(0.05, 0.95, 10)
         phases = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
         deficits = [
@@ -163,20 +172,19 @@ class TestRunChecks:
         "check, target, fake",
         [
             (lambda: verify.check_norm_preservation(np.random.default_rng(0), 3),
-             "outcome_distribution", lambda s, modes: {modes: NAN}),
+             "photonpurify.verify.outcome_distribution", lambda s, modes: {modes: NAN}),
             (lambda: verify.check_permanent_vs_oracle(np.random.default_rng(0), 3),
-             "permanent_naive", lambda m: complex(NAN, 0.0)),
+             "photonpurify.verify.permanent_naive", lambda m: complex(NAN, 0.0)),
             (lambda: verify.check_apply_vs_oracle(np.random.default_rng(0), 3),
-             "amplitude_distance", lambda a, b: NAN),
-            (verify.check_purity_grid, "_run_batch",
-             lambda states, index: iter([SimpleNamespace(
-                 degenerate=np.zeros(len(index), dtype=bool),
-                 output_fidelity=np.full(len(index), NAN))])),
+             "photonpurify.verify.amplitude_distance", lambda a, b: NAN),
+            # check_purity_grid imports sweep_rows from sweep when it runs.
+            (verify.check_purity_grid, "photonpurify.sweep.sweep_rows",
+             lambda cfg: [{"fidelity": NAN, "degenerate": False}]),
         ],
         ids=["norm-preservation", "permanent-vs-oracle", "apply-vs-oracle", "purity-grid"],
     )
     def test_nan_defect_fails(self, monkeypatch, check, target, fake):
-        monkeypatch.setattr(verify, target, fake)
+        monkeypatch.setattr(target, fake)
         result = check()
         assert not result.passed
         assert "nan" in result.detail
