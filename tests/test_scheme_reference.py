@@ -24,6 +24,7 @@ from photonpurify import (
     BeamSplitterParams,
     InputState,
     InterferometerUnitary,
+    NotUnitary,
     StageOneCoefficients,
     StateVector,
     apply,
@@ -247,6 +248,26 @@ def test_scalar_splitter_matches_numpy_splitter():
             scalar = [list(row) for row in beamsplitter_matrix(params)]
             assert repr(scalar) == repr(beamsplitter(params).matrix.tolist()), params
             assert all(type(z) is complex for row in scalar for z in row)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1.0, 0.0], [0.0, 1.0 + 1e-9]],
+        [[1.0, 1e-9], [0.0, 1.0]],
+        [[0.6, 0.8], [0.8, 0.6]],
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, complex(0.0, math.nan)]],
+    ],
+)
+def test_scalar_unitarity_check_rejects_what_the_numpy_check_rejects(m):
+    # beamsplitter hands InterferometerUnitary nested rows of Python
+    # complexes, the form beamsplitter_matrix returns; that form is
+    # rejected exactly as the numpy array is.
+    with pytest.raises(NotUnitary):
+        InterferometerUnitary(np.array(m))
+    with pytest.raises(NotUnitary):
+        InterferometerUnitary([[complex(z) for z in row] for row in m])
 
 
 # The sweep's batch (``scheme._run_batch``) against ``run_scheme``, field
