@@ -195,8 +195,10 @@ def normalize(a: StateVector) -> tuple[StateVector, float]:
 # The helpers below are the per-amplitude rule, the squared norm and the
 # normalization: StateVector and InputState use the first two, and
 # normalize, ``measurement.condition`` and both stages in ``scheme`` share
-# _normalized, on complex scalars and, through its hooks, on the lanes of
-# ``scheme``'s sweep batch.
+# _normalized, on complex scalars and, through its ``take`` and ``sqrt``
+# hooks, on the lanes of ``scheme``'s sweep batch. Only scalars raise: the
+# batch's lanes come from valid InputStates, whose amplitudes stay finite
+# and at most about 2 in modulus through both stages.
 # They stay private so that tracing the package's public layers does not
 # wrap a call per amplitude.
 
@@ -204,39 +206,36 @@ def normalize(a: StateVector) -> tuple[StateVector, float]:
 def _stored(z: complex, take=None) -> complex:
     """``z`` as a StateVector stores it, with 0j for a pruned amplitude: the
     prune and finiteness rule. A non-finite ``z`` (whose abs is inf or NaN)
-    raises ValueError, unless ``take(z, finite, kept)`` is given to act on
-    the two decisions, as ``scheme``'s sweep batch does per lane. A modulus
-    that overflows raises AmplitudeOverflow."""
+    raises ValueError, and a modulus that overflows raises
+    AmplitudeOverflow. ``take(z, kept)``, given by ``scheme``'s sweep
+    batch, applies the prune decision per lane instead."""
     try:
         h = abs(z)
     except OverflowError:  # lanes' abs gives inf instead
         raise AmplitudeOverflow(f"amplitude {z!r} has a modulus beyond the float range") from None
-    finite, kept = h < math.inf, h >= PRUNE_THRESHOLD
+    kept = h >= PRUNE_THRESHOLD
     if take is not None:
-        return take(z, finite, kept)
-    if not finite:
+        return take(z, kept)
+    if not h < math.inf:
         raise ValueError(f"non-finite amplitude {z!r}")
     return z if kept else 0j
 
 
-def _squared_norm(amps, overflowed=None) -> float:
+def _squared_norm(amps) -> float:
     # The package's one squared norm, of complex scalars or ``scheme``'s
     # lanes: ``h * h`` of each ``h = abs(a)``, one IEEE-754 multiply, summed
     # in a plain left-to-right loop, not sum(), which adds with compensation
-    # from Python 3.12 on; a pruned 0j adds an exact zero. A square that
-    # overflows to inf raises AmplitudeOverflow, or passes its lanes' mask
-    # to ``overflowed``; a sum of finite squares may still reach inf.
+    # from Python 3.12 on; a pruned 0j adds an exact zero. On scalars, a
+    # square that overflows to inf raises AmplitudeOverflow; a sum of finite
+    # squares may still reach inf. Lanes are summed unchecked.
     acc = 0.0
     try:
         for a in amps:
             h = abs(a)
-            square = h * h
-            acc += square
-            if overflowed is not None:
-                overflowed(square == math.inf)
+            acc += h * h
     except OverflowError:  # abs of a complex whose modulus overflows
         raise _overflow(amps) from None
-    if overflowed is None and not acc < math.inf and any(abs(a) * abs(a) == math.inf for a in amps):
+    if isinstance(acc, float) and not acc < math.inf and any(abs(a) * abs(a) == math.inf for a in amps):
         raise _overflow(amps)
     return acc
 
@@ -249,17 +248,17 @@ def _overflow(amps) -> AmplitudeOverflow:
     )
 
 
-def _normalized(amps, take=None, overflowed=None, sqrt=math.sqrt) -> tuple[bool, float, list[complex]]:
+def _normalized(amps, take=None, sqrt=math.sqrt) -> tuple[bool, float, list[complex]]:
     """(alive, squared norm, unit amplitudes) of ``amps`` as a StateVector
     stores them: each is pruned by :func:`_stored`, scaled by 1/sqrt of
     the squared norm and pruned again, 0j where it falls below. A kept
     amplitude is at least :data:`PRUNE_THRESHOLD`, so the squared norm is
     at least 1e-28 exactly when one survives; where none does it is 0.0,
-    and the zeros come back scaled by 1.0. ``take`` and ``overflowed`` go
-    to :func:`_stored` and :func:`_squared_norm`, and ``sqrt`` is numpy's
-    on ``scheme``'s lanes, where ``alive`` is a mask."""
+    and the zeros come back scaled by 1.0. ``take`` goes to
+    :func:`_stored`, and ``sqrt`` is numpy's on ``scheme``'s lanes, where
+    ``alive`` is a mask."""
     kept = [_stored(z, take) for z in amps]
-    n2 = _squared_norm(kept, overflowed)
+    n2 = _squared_norm(kept)
     scale = 1.0 / sqrt(n2 + (n2 == 0.0))
     return n2 > 0.0, n2, [_stored(a * scale, take) for a in kept]
 

@@ -28,6 +28,12 @@ class ConditionResult:
     state: StateVector | None
 
 
+def _check_mode(mode, modes: int) -> None:
+    # A mode index is an int, not a bool, in 0..modes-1.
+    if not isinstance(mode, int) or isinstance(mode, bool) or not 0 <= mode < modes:
+        raise IndexOutOfRange(f"mode {mode!r} is not an index in 0..{modes - 1}")
+
+
 def _validate_detected(s: StateVector, detected: dict[int, int]) -> None:
     if not detected:
         raise ModeMismatch("must detect at least one mode")
@@ -36,8 +42,7 @@ def _validate_detected(s: StateVector, detected: dict[int, int]) -> None:
             f"detecting {len(detected)} of {s.modes} modes leaves no output"
         )
     for mode, count in detected.items():
-        if not (0 <= mode < s.modes):
-            raise IndexOutOfRange(f"detected mode {mode} outside 0..{s.modes - 1}")
+        _check_mode(mode, s.modes)
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise OutOfRange(f"photon count for mode {mode} must be a non-negative int")
 
@@ -74,8 +79,7 @@ def outcome_distribution(s: StateVector, modes: tuple[int, ...]) -> dict[tuple[i
         raise ModeMismatch("need at least one mode for a distribution")
     seen = set()
     for m in modes:
-        if not (0 <= m < s.modes):
-            raise IndexOutOfRange(f"mode {m} outside 0..{s.modes - 1}")
+        _check_mode(m, s.modes)
         if m in seen:
             raise ModeMismatch(f"mode {m} listed twice")
         seen.add(m)

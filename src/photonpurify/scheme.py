@@ -49,19 +49,19 @@ parts. The lane rules that keep ``run_scheme``'s bits:
 * per-pair branches (t1 == 0, t2 == 0) become masks, and a squared norm
   of 0.0, where nothing survives, divides as ``n2 + (n2 == 0.0)`` on both.
 
-A rules object holds what a scalar run raises on and a batch flags per
-lane: ``_ScalarRules`` raises, ``_LaneRules`` sets its ``failed`` mask.
-Both prune through ``fock._stored``, square through ``fock._squared_norm``
-and normalize with ``fock._normalized``, as ``fock.normalize`` and
-``measurement.condition`` do; the lanes pass its hooks their masks and
-numpy's sqrt. The lanes also check the splitter's ranges, as
-``BeamSplitterParams`` does on scalars; neither path checks the
-splitter's unitarity, which its formula keeps to a few ulp (see
-``optics``).
-Every constant is read from its owning module when it is used. A chunk
-with a failing pair re-runs its first one through ``run_scheme``, which
-raises that pair's error. A single pair stays on the scalar path, which
-costs far less than a batch.
+A rules class says how the stages prune and normalize: ``_ScalarRules``
+on complex scalars, ``_LaneRules`` on lanes. Both prune through
+``fock._stored``, square through ``fock._squared_norm`` and normalize with
+``fock._normalized``, as ``fock.normalize`` and ``measurement.condition``
+do; the lanes pass it ``_Lanes.where`` and numpy's sqrt. Only the scalar
+path raises. A sweep's inputs are valid ``InputState``s, finite and
+normalized, so no lane meets a check that the scalar path would fail:
+every amplitude stays finite and at most about 2 in modulus, and the
+solved splitter's angles lie in ``BeamSplitterParams``' ranges. Neither
+path checks the splitter's unitarity, which its formula keeps to a few
+ulp (see ``optics``).
+Every constant is read from its owning module when it is used. A single
+pair stays on the scalar path, which costs far less than a batch.
 """
 
 from __future__ import annotations
@@ -174,10 +174,9 @@ def stage_two(
     |c1| <= CANCEL_TOL is enforced; past it the residual c1 is dropped, so
     the heralded state is exactly |1>.
     """
-    if abs(c.c1) > CANCEL_TOL:
-        raise PurityViolated(
-            f"|c1| = {abs(c.c1):.3e} exceeds {CANCEL_TOL:.0e}; cancel first"
-        )
+    residual = math.hypot(c.c1.real, c.c1.imag)
+    if not residual <= CANCEL_TOL:  # NaN fails too
+        raise PurityViolated(f"|c1| = {residual:.3e} is not within {CANCEL_TOL:.0e}; cancel first")
     alive, _, amps = _normalized((complex(c.c0), 0j, complex(c.c2)))
     if not alive:
         return 0.0, None
@@ -224,7 +223,7 @@ def _stage_two(rules, amps, m):
     return rules.normalized((0j + r1 * m11, 0j + r2 / _SQRT2 * (m01 * m11 + m01 * m11)))
 
 
-def _fidelity(rules, amps):
+def _fidelity(amps):
     """``fidelity`` to |1> of the state heralded with stage 2's unit
     amplitudes (r0, r1), 0.0 where none is: |r1|^2 / (0.0 + |r0|^2 +
     |r1|^2), that route's bits, since |1>'s squared norm is 1.0 and
@@ -232,7 +231,7 @@ def _fidelity(rules, amps):
     Nothing is heralded exactly where that squared norm is 0.0, and there
     |r1|^2 = 0.0 is divided by 1.0."""
     h = abs(amps[1])
-    n2 = _squared_norm(amps, rules.fail)
+    n2 = _squared_norm(amps)
     return h * h / (n2 + (n2 == 0.0))
 
 
@@ -249,12 +248,10 @@ _REASONS_BY_CODE = tuple(
 
 
 class _ScalarRules:
-    """The stages' rules on complex scalars: a failed check raises."""
+    """The stages' rules on complex scalars: every check raises."""
 
     stored = staticmethod(_stored)
     normalized = staticmethod(_normalized)
-    # _squared_norm's overflow hook: none, so an overflow raises.
-    fail = None
 
 
 def _herald(amps) -> StateVector:
@@ -292,7 +289,7 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
         stage_one_probability=p1,
         stage_two_probability=p2,
         p_success=p1 * p2,
-        output_fidelity=_fidelity(_ScalarRules, amps),
+        output_fidelity=_fidelity(amps),
         degenerate=bool(reasons),
         degenerate_reasons=reasons,
         output_state=_herald(amps) if heralded else None,
@@ -332,50 +329,33 @@ def _run_batch(states, index) -> Iterator[_BatchColumns]:
     states[index[k, 1]])``. Pairs are evaluated ``_BATCH_CHUNK`` at a time
     on ``_Lanes`` (the module docstring gives the rules that keep the
     bits), and each chunk yields its results, whose ``tolist()`` values
-    equal ``run_scheme``'s fields by ``repr``. Every check of the scalar
-    path runs on the whole chunk; when one fails, the chunk's first
-    failing pair goes through ``run_scheme``, which raises that pair's
-    error, so each message is written once.
+    equal ``run_scheme``'s fields by ``repr``. Nothing is checked per pair:
+    valid inputs pass every check of the scalar path (module docstring).
     """
     amps = np.array([(s.alpha, s.beta) for s in states], dtype=complex).reshape(-1, 2)
     parts = amps.view(float).T.copy()
     for start in range(0, len(index), _BATCH_CHUNK):
         rows = index[start : start + _BATCH_CHUNK]
         with np.errstate(all="ignore"):
-            columns, failed = _batch_chunk(parts[:, rows[:, 0]], parts[:, rows[:, 1]])
-        if failed.any():
-            i, j = rows[int(np.argmax(failed))].tolist()
-            run_scheme(states[i], states[j])
-            raise RuntimeError("a batch check failed on a pair that run_scheme accepts")
+            columns = _batch_chunk(parts[:, rows[:, 0]], parts[:, rows[:, 1]])
         yield columns
 
 
 class _LaneRules:
-    """The stages' rules on ``_Lanes``: a check that raises on scalars
-    sets ``failed`` on the lanes where it fails instead."""
+    """The stages' rules on ``_Lanes``: fock's prune decision per lane and
+    numpy's sqrt."""
 
-    def __init__(self, n: int):
-        self.failed = np.zeros(n, dtype=bool)
+    @staticmethod
+    def stored(z):
+        return _stored(z, _Lanes.where)
 
-    def take(self, z, finite, kept):
-        # fock._stored's decisions per lane.
-        self.failed |= ~finite
-        return z.where(kept)
+    @staticmethod
+    def normalized(amps):
+        return _normalized(amps, _Lanes.where, np.sqrt)
 
-    def fail(self, mask):
-        # fock._squared_norm's overflow decision per lane.
-        self.failed |= mask
-
-    def stored(self, z):
-        return _stored(z, self.take)
-
-    def normalized(self, amps):
-        return _normalized(amps, self.take, self.fail, np.sqrt)
-
-    def splitter(self, theta, phi):
-        # beamsplitter_matrix(BeamSplitterParams(theta, phi)) per lane,
-        # with BeamSplitterParams' ranges, where NaN fails.
-        self.failed |= ~((theta >= 0.0) & (theta <= math.pi / 2) & (phi >= -math.pi) & (phi <= math.pi))
+    @staticmethod
+    def splitter(theta, phi):
+        # beamsplitter_matrix(BeamSplitterParams(theta, phi)) per lane.
         ph = np.fromiter(map(cmath.exp, [1j * x for x in phi.tolist()]), complex, len(phi))
         c = _Lanes(_per_element(math.cos, theta))
         return _splitter_formula(c, _per_element(math.sin, theta), _Lanes(ph.real, ph.imag))
@@ -389,16 +369,13 @@ def _per_element(fn, *args: np.ndarray) -> np.ndarray:
 def _batch_chunk(first, second):
     """One vectorized pass of ``run_scheme``: ``first`` and ``second`` hold
     each pair's (alpha.real, alpha.imag, beta.real, beta.imag) as rows.
-    Returns (the result columns ``_run_batch`` yields, a mask of the pairs
-    whose scalar run raises)."""
-    rules = _LaneRules(first.shape[1])
+    Returns the result columns ``_run_batch`` yields."""
     inputs = [_Lanes(x[k], x[k + 1]) for x in (first, second) for k in (0, 2)]
     theta, phi, vacuous = _solve_cancellation_lanes(*inputs)
-    _, p1, amps = _stage_one(rules, *inputs, rules.splitter(theta, phi))
-    _, p2, amps = _stage_two(rules, amps, _STAGE_TWO_MATRIX)
-    fid = _fidelity(rules, amps)
+    _, p1, amps = _stage_one(_LaneRules, *inputs, _LaneRules.splitter(theta, phi))
+    _, p2, amps = _stage_two(_LaneRules, amps, _STAGE_TWO_MATRIX)
     codes = _reason_code(*inputs, vacuous)
-    return _BatchColumns(theta, phi, p1, p2, p1 * p2, fid, codes), rules.failed
+    return _BatchColumns(theta, phi, p1, p2, p1 * p2, _fidelity(amps), codes)
 
 
 def _solve_cancellation_lanes(alpha1, beta1, alpha2, beta2):

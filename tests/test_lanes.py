@@ -1,4 +1,4 @@
-"""``scheme._Lanes`` against Python's own complex arithmetic.
+"""``optics._Lanes`` against Python's own complex arithmetic.
 
 The sweep batch runs the scheme's stages on ``_Lanes``, so each of its
 operations must give every lane the bits CPython gives the same operation
@@ -17,7 +17,7 @@ import operator
 import numpy as np
 import pytest
 
-from photonpurify.scheme import _Lanes
+from photonpurify.optics import _Lanes
 
 PARTS = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, 1e308, math.inf, -math.inf, math.nan)
 VALUES = [complex(re, im) for re in PARTS for im in PARTS]

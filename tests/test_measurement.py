@@ -72,6 +72,10 @@ class TestCondition:
             condition(s, {5: 0})
         with pytest.raises(OutOfRange):
             condition(s, {0: -1})
+        # A mode index must be an int, as a count must: no float, no bool.
+        for mode in (0.5, 1.0, True):
+            with pytest.raises(IndexOutOfRange):
+                condition(s, {mode: 0})
 
     def test_chaining_equals_joint(self):
         rng = np.random.default_rng(7)
@@ -127,6 +131,9 @@ class TestOutcomeDistribution:
             outcome_distribution(s, (0, 0))
         with pytest.raises(IndexOutOfRange):
             outcome_distribution(s, (4,))
+        for modes in ((0.0,), (1.0,), (False,)):
+            with pytest.raises(IndexOutOfRange):
+                outcome_distribution(s, modes)
 
     def test_huge_amplitude_is_package_error(self):
         with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):

@@ -161,6 +161,12 @@ class TestStageTwo:
     def test_rejects_residual_middle_term(self):
         with pytest.raises(PurityViolated):
             stage_two(StageOneCoefficients(0.5, 0.1, 0.5), BeamSplitterParams(math.pi / 4, 0))
+        # A NaN c1 is not within the tolerance, and a modulus past the
+        # float range still compares: neither may pass or escape as a
+        # bare OverflowError.
+        for c1 in (math.nan, complex(1.5e308, 1.5e308)):
+            with pytest.raises(PurityViolated):
+                stage_two(StageOneCoefficients(0.6, c1, 0.8), BeamSplitterParams(math.pi / 4, 0))
 
     def test_tolerates_tiny_residual(self):
         prob, _ = stage_two(
