@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 from typing import Iterator
 
 import numpy as np
@@ -67,7 +66,7 @@ def substitute(poly: CreationPolynomial, u) -> CreationPolynomial:
     Accepts an interferometer object (anything with a ``matrix``
     attribute) or a bare square array. Unitarity is not required here;
     each factor (sum_i U[i, j] a_i^dag)^k expands by the multinomial
-    theorem with exact integer coefficients.
+    theorem with exact integer coefficients, once per call.
     """
     m = np.asarray(getattr(u, "matrix", u), dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -76,18 +75,34 @@ def substitute(poly: CreationPolynomial, u) -> CreationPolynomial:
         raise ModeMismatch(f"matrix on {m.shape[0]} modes, polynomial on {poly.modes}")
     modes = poly.modes
     columns = m.T.tolist()
-    zero = (0,) * modes
-    out: dict[Exponents, complex] = {}
+    # A monomial is packed into one integer, its exponents as the digits
+    # of base 1 + the largest total degree, mode 0 lowest: no exponent of
+    # a product reaches the base, so multiplying monomials adds their keys.
+    base = 1 + max((sum(exponents) for exponents in poly.terms), default=0)
+    powers: dict[tuple[int, int], list[tuple[int, complex]]] = {}
+    out: dict[int, complex] = {}
     for exponents, coeff in poly.terms.items():
-        partial: dict[Exponents, complex] = {zero: coeff}
+        partial: dict[int, complex] = {0: coeff}
         for j, power in enumerate(exponents):
             if power == 0:
                 continue
-            factor = _column_power(columns[j], power)
+            factor = powers.get((j, power))
+            if factor is None:
+                factor = powers[j, power] = _column_power(columns[j], power, base)
             partial = _multiply(partial, factor)
-        for exp, c in partial.items():
-            out[exp] = out.get(exp, 0j) + c
-    return CreationPolynomial(modes, {e: c for e, c in out.items() if c != 0j})
+        for key, c in partial.items():
+            out[key] = out.get(key, 0j) + c
+    return CreationPolynomial(
+        modes, {_unpack(key, base, modes): c for key, c in out.items() if c != 0j}
+    )
+
+
+def _unpack(key: int, base: int, modes: int) -> Exponents:
+    exponents = []
+    for _ in range(modes):
+        key, e = divmod(key, base)
+        exponents.append(e)
+    return tuple(exponents)
 
 
 def _exponent_factorial(exponents: Exponents) -> int:
@@ -121,26 +136,28 @@ def _multinomials(power: int, modes: int) -> tuple[tuple[Exponents, int], ...]:
     return tuple(table)
 
 
-def _column_power(column: list[complex], power: int) -> dict[Exponents, complex]:
-    # (sum_i c_i a_i^dag)^power expanded by the multinomial theorem. The
-    # multinomial coefficient stays an exact integer before floats enter.
-    out: dict[Exponents, complex] = {}
+def _column_power(column: list[complex], power: int, base: int) -> list[tuple[int, complex]]:
+    # (sum_i c_i a_i^dag)^power expanded by the multinomial theorem, each
+    # monomial packed as substitute packs them. The multinomial
+    # coefficient stays an exact integer before floats enter.
+    out = []
     for split, multinomial in _multinomials(power, len(column)):
         coeff = complex(multinomial)
+        key, digit = 0, 1
         for c_i, e_i in zip(column, split):
             if e_i:
                 coeff *= c_i ** e_i
+                key += e_i * digit
+            digit *= base
         if coeff != 0j:
-            out[split] = coeff
+            out.append((key, coeff))
     return out
 
 
-def _multiply(
-    a: dict[Exponents, complex], b: dict[Exponents, complex]
-) -> dict[Exponents, complex]:
-    out: dict[Exponents, complex] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
+def _multiply(a: dict[int, complex], b: list[tuple[int, complex]]) -> dict[int, complex]:
+    out: dict[int, complex] = {}
+    for ka, ca in a.items():
+        for kb, cb in b:
+            key = ka + kb
             out[key] = out.get(key, 0j) + ca * cb
     return out

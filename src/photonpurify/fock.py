@@ -73,8 +73,12 @@ class StateVector:
                 raise ValueError(
                     f"occupation {occ} has {len(occ)} modes, state has {self.modes}"
                 )
-            if any(not isinstance(n, int) or n < 0 for n in occ):
-                raise ValueError(f"occupation {occ} must hold non-negative integers")
+            for n in occ:
+                # A count is an int, not a bool, as ``measurement`` holds
+                # its detector counts and mode indices to; a plain int
+                # skips the isinstance tests.
+                if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)) or n < 0:
+                    raise ValueError(f"occupation {occ} must hold non-negative integers")
             z = _stored(complex(amp))
             if z:
                 kept[tuple(occ)] = z

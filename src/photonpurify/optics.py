@@ -29,17 +29,22 @@ column-repeated submatrices:
 where U[n', n] repeats row i n'_i times and column j n_j times. The
 permanent is evaluated by Ryser's formula, with direct formulas below
 dimension 3. ``apply`` reads the unitary once per call with ``tolist``
-and writes the zero- to two-photon permanents out on those scalars. For
-a sector of k >= 3 photons it gathers the k x k submatrix of every
-(output, input) transition with one fancy index, ``_STACK_CHUNK``
-transitions at a time, and evaluates the stack in one vectorized pass of
-``_ryser_stack``. That pass walks the same Gray-code schedule as the
-scalar :func:`permanent_kernel`, on float64 arrays with CPython
-3.10-3.12's complex arithmetic (:class:`_Lanes`, which ``scheme``'s
-sweep batch runs on too), so each permanent equals the kernel's bit for
-bit. :func:`permanent` on a single matrix, and ``apply`` on a sector
-with a single transition, keep the scalar kernel, which reads the matrix
-once with ``tolist``; a stack of one costs far more.
+and writes the zero- to two-photon permanents out on those scalars. A
+sector of k >= 3 photons goes to :func:`_sector_permanents` in one pass
+per group of inputs, and no transition's k x k submatrix is gathered:
+for each input it keeps one running Ryser row sum per mode row of U
+(M of them), updated per step of the same Gray-code schedule as the
+scalar :func:`permanent_kernel`, and a transition's k row sums are the
+rows of its output occupation picked from those M. Each picked sum has
+had the kernel's additions in the kernel's order, and the products and
+the signed total are formed in the kernel's order with CPython
+3.10-3.12's complex arithmetic on float64 arrays (:class:`_Lanes`,
+which ``scheme``'s sweep batch runs on too), so each permanent equals
+the kernel's bit for bit. :func:`permanent` on a single matrix, and
+``apply`` on a sector with a single transition (any sector of a one-mode
+state), keep the scalar kernel, which reads the matrix once with
+``tolist``; a pass of the sector kernel costs far more than one scalar
+call there.
 The scheme calls neither ``apply`` nor ``beamsplitter``: its states hold
 at most two photons, and its stages take each splitter's entries from
 ``_splitter_formula``, on scalars through :func:`beamsplitter_matrix`
@@ -59,6 +64,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,7 +223,7 @@ def permanent(m) -> complex:
 class _Lanes:
     """One complex number per lane of a batch, held as float64 arrays (or
     floats) of real and imaginary parts: the complex arithmetic of
-    ``scheme``'s sweep batch and of :func:`_ryser_stack`.
+    ``scheme``'s sweep batch and of :func:`_sector_permanents`.
 
     ``+ - * /``, unary minus, ``abs``, ``conjugate`` and ``==`` give every
     lane the bits that CPython 3.10-3.12 gives the same operation on
@@ -290,94 +296,107 @@ class _Lanes:
         return _Lanes(np.where(keep, self.real, 0.0), np.where(keep, self.imag, 0.0))
 
 
-#: Transitions per pass of ``_ryser_stack``, and Gray-code steps times
-#: transitions per block inside it. Every temporary of a pass then holds
-#: at most 2 x _STACK_CHUNK x k x k complex entries, whatever the sector
-#: size.
+#: (Gray-code step, output, input) entries per block of
+#: :func:`_sector_permanents`. A sector's inputs run in groups of
+#: ``_STACK_CHUNK // N_out`` and each group's steps in blocks of
+#: ``_STACK_CHUNK // (N_out x group)``, at least one of each, so no
+#: temporary holds more than 2 x photons x max(_STACK_CHUNK, N_out)
+#: complex entries, whatever the sector size.
 _STACK_CHUNK = 4096
 
 
 @lru_cache(maxsize=None)
-def _stack_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # _gray_schedule(n) for _ryser_stack: per step, the row of
+def _step_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # _gray_schedule(n) for _sector_permanents: per step, the row of
     # [columns; -columns] that updates the row sums (j when column j
     # enters, n + j when it leaves), and the sign of the subset's product
-    # as (step, 1) floats.
+    # as (step, 1, 1) floats.
     steps = _gray_schedule(n)
     pick = np.array([j if add else n + j for j, add, _ in steps])
     sign = np.array([-1.0 if negate else 1.0 for _, _, negate in steps])
-    return pick, sign[:, None]
+    return pick, sign[:, None, None]
 
 
-def _ryser_stack(mats: np.ndarray) -> np.ndarray:
-    """:func:`permanent_kernel` of each matrix in a (b, k, k) complex
-    stack (k >= 1), bit for bit.
+class _Sector(NamedTuple):
+    #: Each occupation of the sector, in ``sector_occupations`` order, with
+    #: sqrt(prod n_i!) and its modes repeated n_i times.
+    members: dict[tuple[int, ...], tuple[float, list[int]]]
+    #: The repeated modes of every occupation, (occupation, photon).
+    rows: np.ndarray
 
-    The Gray-code steps run on all b matrices at once, in blocks of
-    ``_STACK_CHUNK // b`` steps. A step's row sums are a running sum over
-    the steps of +-column, and ``np.cumsum`` adds left to right from the
-    previous block's last sums (``0j`` before the first), so each sum is
-    the kernel's ``+=`` / ``-=``; subtracting equals adding the negation in
-    IEEE-754. Each product starts from ``1.0+0j`` and multiplies by the row
-    sums left to right with :class:`_Lanes`' ``*``, CPython's
-    ``_Py_c_prod``. The total takes each signed product in step order the
-    same way.
+
+@lru_cache(maxsize=None)
+def _sector(occupations: tuple[tuple[int, ...], ...]) -> _Sector:
+    # Computed once per sector, like sector_occupations. Keyed by the
+    # occupations themselves: apply asks sector_occupations for them on
+    # every call, so a traced run counts the same calls whatever this
+    # cache holds.
+    members = {
+        occ: (math.sqrt(_occupation_factorial(occ)), _repeat_modes(occ)) for occ in occupations
+    }
+    rows = [r for _, r in members.values()]
+    return _Sector(members, np.array(rows, dtype=np.intp).reshape(len(rows), sum(occupations[0])))
+
+
+def _sector_permanents(matrix: np.ndarray, rows: np.ndarray, cols: list[list[int]]):
+    """per(matrix[r, c]) for every r in ``rows``, an (output, photon)
+    array of repeated mode indices (a sector's ``_Sector.rows``), and every
+    c in ``cols``, each a list of as many (>= 1) repeated mode indices, as
+    rows of Python complexes: :func:`permanent_kernel` of each submatrix,
+    bit for bit.
+
+    No submatrix is gathered. A transition's row i sums the entries of
+    mode row r_i over the input's columns in the current subset, so one
+    running sum per mode row and input, updated per Gray-code step by
+    +-column with ``cumsum`` (left to right from the previous block's
+    last sums, ``0j`` before the first), gives every transition's row sums
+    by picking rows: each with the kernel's additions in the kernel's
+    order. Subtracting equals adding the negation in IEEE-754. Each
+    product starts from ``1.0+0j`` and multiplies the picked row sums in
+    row order with :class:`_Lanes`' ``*``, CPython's ``_Py_c_prod``. The
+    total takes each signed product in step order the same way. Inputs
+    and steps run in the groups and blocks of ``_STACK_CHUNK``.
     """
-    b, k = mats.shape[0], mats.shape[1]
-    cols = mats.transpose(2, 1, 0)
-    signed = np.concatenate((cols, -cols))
-    pick, sign = _stack_schedule(k)
-    block = max(1, _STACK_CHUNK // b)
-    sums = np.zeros((k, b), dtype=complex)
-    total_re = total_im = 0.0
+    n_out, photons = rows.shape
+    pick, sign = _step_schedule(photons)
+    group = max(1, _STACK_CHUNK // n_out)
+    out = np.empty((n_out, len(cols)), dtype=complex)
     # Python's complex arithmetic never warns; inf - inf is NaN here too.
     with np.errstate(all="ignore"):
-        for start in range(0, len(pick), block):
-            # (step, row, matrix) row sums of this block
-            steps = signed[pick[start : start + block]]
-            steps[0] += sums
-            steps = np.cumsum(steps, axis=0)
-            sums = steps[-1]
-            re, im = steps.real, steps.imag
-            prod = _Lanes(1.0, 0.0)
-            for i in range(k):
-                prod = prod * _Lanes(re[:, i], im[:, i])
-            # The sign scales the parts: a complex product by (-1, 0)
-            # would turn an inf part times 0.0 into NaN.
-            signs = sign[start : start + block]
-            pr, pi = prod.real * signs, prod.imag * signs
-            pr[0] += total_re
-            pi[0] += total_im
-            total_re = np.cumsum(pr, axis=0)[-1]
-            total_im = np.cumsum(pi, axis=0)[-1]
-    out = np.empty(b, dtype=complex)
-    out.real, out.imag = total_re, total_im
-    return out
-
-
-def _transition_permanents(matrix: np.ndarray, rows: list[list[int]], cols: list[list[int]]):
-    # per(matrix[r, c]) for each r in rows, then each c in cols, as Python
-    # complexes: _STACK_CHUNK submatrices gathered by one fancy index per
-    # pass of _ryser_stack. A single transition (a one-mode sector) goes to
-    # permanent_kernel, whose bits are the same: a stack of one costs far
-    # more than one scalar call.
-    n_in = len(cols)
-    n = len(rows) * n_in
-    if n == 1:
-        yield permanent_kernel(matrix[np.ix_(rows[0], cols[0])])
-        return
-    rows_arr, cols_arr = np.array(rows), np.array(cols)
-    for start in range(0, n, _STACK_CHUNK):
-        pair = np.arange(start, min(start + _STACK_CHUNK, n))
-        r, c = rows_arr[pair // n_in], cols_arr[pair % n_in]
-        yield from _ryser_stack(matrix[r[:, :, None], c[:, None, :]]).tolist()
+        for first in range(0, len(cols), group):
+            # (column, mode row, input) entries, then their negations
+            columns = matrix[:, np.array(cols[first : first + group])].transpose(2, 0, 1)
+            signed = np.concatenate((columns, -columns))
+            block = max(1, _STACK_CHUNK // (n_out * columns.shape[2]))
+            sums, total = 0j, 0.0
+            for start in range(0, len(pick), block):
+                # (step, mode row, input) row sums of this block
+                steps = signed[pick[start : start + block]]
+                steps[0] += sums
+                steps = steps.cumsum(axis=0)
+                sums = steps[-1]
+                # (step, output, row, input)
+                picked = steps[:, rows]
+                prod = _Lanes(1.0, 0.0)
+                for i in range(photons):
+                    row = picked[:, :, i]
+                    prod = prod * _Lanes(row.real, row.imag)
+                # (part, step, output, input); the sign scales the parts:
+                # a complex product by (-1, 0) would turn an inf part
+                # times 0.0 into NaN.
+                terms = np.stack((prod.real, prod.imag)) * sign[start : start + block]
+                terms[:, 0] += total
+                total = terms.cumsum(axis=1)[:, -1]
+            part = out[:, first : first + group]
+            part.real, part.imag = total
+    return out.tolist()
 
 
 def _repeated_permanent(entries: list[list[complex]], rows: list[int], cols: list[int]) -> complex:
     # Permanent of zero to two photons with rows/cols given as repeated
     # mode indices, written out on ``entries``, a matrix's ``tolist()``:
     # building submatrices for them would dominate the hot path. Larger
-    # transitions go to _ryser_stack, larger matrices to permanent_kernel.
+    # sectors go to _sector_permanents, larger matrices to permanent_kernel.
     k = len(rows)
     if k == 0:
         return 1.0 + 0j
@@ -417,6 +436,14 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
     is at most 4.4e-16 up to n = 5, then 1.1e-14 at n = 6, 1.9e-13 at
     n = 8, 8.0e-12 at n = 10 and 1.3e-10 at n = 12. The scheme's states
     hold at most two photons.
+
+    Each sector's outputs, their sqrt(n!) factors and repeated modes are
+    computed once per (photons, modes). A sector of three or more photons
+    on two or more modes gets all its (output, input) permanents from
+    :func:`_sector_permanents`, which shares the Ryser row sums of each
+    input's subsets among all outputs and gives each permanent the scalar
+    kernel's bits. The amplitudes are then summed per output over the
+    inputs, in the state's order.
     """
     if u.dim != s.modes:
         raise ModeMismatch(f"unitary on {u.dim} modes, state on {s.modes}")
@@ -427,18 +454,23 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
     entries = u.matrix.tolist()
     out: dict[tuple[int, ...], complex] = {}
     for photons, members in by_sector.items():
-        outputs = sector_occupations(photons, s.modes)
-        rows = [_repeat_modes(occ) for occ in outputs]
-        cols = [_repeat_modes(occ) for occ, _ in members]
-        weights = [amp / math.sqrt(_occupation_factorial(occ)) for occ, amp in members]
+        sector = _sector(sector_occupations(photons, s.modes))
+        outputs = sector.members
+        cols = [outputs[occ][1] for occ, _ in members]
+        weights = [amp / outputs[occ][0] for occ, amp in members]
         if photons < 3:
-            pers = (_repeated_permanent(entries, r, c) for r in rows for c in cols)
+            pers = [[_repeated_permanent(entries, r, c) for c in cols] for _, r in outputs.values()]
+        elif len(outputs) * len(cols) == 1:
+            # A one-mode sector: a single scalar kernel call costs far less
+            # than one pass of the sector kernel, with the same bits.
+            (_, out_modes), = outputs.values()
+            pers = [[permanent_kernel(u.matrix[np.ix_(out_modes, cols[0])])]]
         else:
-            pers = _transition_permanents(u.matrix, rows, cols)
-        for out_occ in outputs:
+            pers = _sector_permanents(u.matrix, sector.rows, cols)
+        for (out_occ, (scale, _)), row in zip(outputs.items(), pers):
             acc = 0j
-            for weighted_amp in weights:
-                acc += weighted_amp * next(pers)
+            for weighted_amp, per in zip(weights, row):
+                acc += weighted_amp * per
             if acc != 0j:
-                out[out_occ] = acc / math.sqrt(_occupation_factorial(out_occ))
+                out[out_occ] = acc / scale
     return StateVector(s.modes, out)

@@ -3,7 +3,7 @@
 Six named checks: unitarity (two-mode splitters), norm-preservation,
 permanent-vs-oracle, apply-vs-oracle, purity-grid, and dominance (simulated
 identical-input runs against p^2/4 and 16p^3/81). purity-grid runs a sweep
-(``sweep.sweep_rows``), dominance runs ``run_scheme``.
+(``sweep._walk``), dominance runs ``run_scheme``.
 Each returns a CheckResult with a worst-case defect so failures carry
 numbers, not just a flag.
 """
@@ -77,10 +77,11 @@ def random_state(rng: np.random.Generator, modes: int, max_photons: int) -> Stat
     There is no photon cap: the state holds C(modes + max_photons, modes)
     amplitudes.
     """
-    amps: dict[tuple[int, ...], complex] = {}
-    for photons in range(max_photons + 1):
-        for occ in sector_occupations(photons, modes):
-            amps[occ] = complex(rng.normal(), rng.normal())
+    occs = [occ for photons in range(max_photons + 1) for occ in sector_occupations(photons, modes)]
+    # One draw of both parts per occupation, real first: the values of
+    # one rng.normal() call per part, in that order.
+    parts = rng.normal(size=(len(occs), 2)).tolist()
+    amps = {occ: complex(re, im) for occ, (re, im) in zip(occs, parts)}
     state, _ = normalize(StateVector(modes, amps))
     return state
 
@@ -177,17 +178,20 @@ def check_purity_grid() -> CheckResult:
     """Non-degenerate scheme runs herald |1> with fidelity 1 - 1e-10.
 
     A coarse 10x10x4x4 grid, p in [0.05, 0.95] and phases 0, pi/2, pi
-    and 3pi/2 on both inputs, evaluated by ``sweep.sweep_rows``, which
-    equals ``run_scheme`` bit for bit; the acceptance suite sweeps the
-    full grid.
+    and 3pi/2 on both inputs, evaluated by the sweep's batch walk
+    (``sweep._walk``), which equals ``run_scheme`` bit for bit; the check
+    reads its fidelity and degenerate columns and builds no rows. The
+    acceptance suite sweeps the full grid.
     """
     # Imported here: sweep (with json) adds about 7 ms to every
     # ``import photonpurify``, and no other check needs it.
-    from .sweep import RangeSpec, SweepConfig, sweep_rows
+    from .sweep import RangeSpec, SweepConfig, _walk
 
     p, ph = RangeSpec(0.05, 0.95, 10), RangeSpec(0.0, 1.5 * math.pi, 4)
-    rows = sweep_rows(SweepConfig(p, p, ph, ph))
-    worst = _worst([1.0 - row["fidelity"] for row in rows if not row["degenerate"]])
+    deficits = []
+    for _, (*_, fidelity, degenerate) in _walk(SweepConfig(p, p, ph, ph), list):
+        deficits += [1.0 - f for f, d in zip(fidelity, degenerate) if not d]
+    worst = _worst(deficits)
     return CheckResult(
         "purity-grid", worst <= PURITY_TOL, f"max fidelity deficit {worst:.3e} on 10x10x4x4 grid"
     )

@@ -76,6 +76,12 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(1, {(-1,): 1.0})
 
+    def test_rejects_bool_counts(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            fock_state((True,))
+        with pytest.raises(ValueError, match="non-negative integers"):
+            StateVector(2, {(True, 0): 1})
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             StateVector(1, {(0,): float("nan")})

@@ -116,20 +116,28 @@ def _su2(rng: random.Random) -> list[list[complex]]:
     return [[a, -b.conjugate()], [b, a.conjugate()]]
 
 
-def _on_modes(block, first: int) -> list[list[complex]]:
-    # A 2x2 block acting on modes (first, first + 1) of three.
-    m = [[1.0 + 0j if i == j else 0j for j in range(3)] for i in range(3)]
+def _on_modes(block, first: int, modes: int) -> list[list[complex]]:
+    # A 2x2 block acting on modes (first, first + 1).
+    m = [[1.0 + 0j if i == j else 0j for j in range(modes)] for i in range(modes)]
     for i in range(2):
         for j in range(2):
             m[first + i][first + j] = block[i][j]
     return m
 
 
-def _matmul3(a, b) -> list[list[complex]]:
-    return [
-        [a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)]
-        for i in range(3)
-    ]
+def _matmul(a, b) -> list[list[complex]]:
+    # Each entry summed left to right from its first product.
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def _golden_unitary(rng: random.Random, modes: int) -> InterferometerUnitary:
@@ -139,9 +147,10 @@ def _golden_unitary(rng: random.Random, modes: int) -> InterferometerUnitary:
         return InterferometerUnitary([[complex(z.real / r, z.imag / r)]])
     if modes == 2:
         return InterferometerUnitary(_su2(rng))
-    m = _on_modes(_su2(rng), 0)
-    m = _matmul3(m, _on_modes(_su2(rng), 1))
-    m = _matmul3(m, _on_modes(_su2(rng), 0))
+    # Blocks on modes (0, 1), (1, 2), ..., then back on (0, 1).
+    m = _on_modes(_su2(rng), 0, modes)
+    for first in [*range(1, modes - 1), 0]:
+        m = _matmul(m, _on_modes(_su2(rng), first, modes))
     return InterferometerUnitary(m)
 
 
@@ -174,6 +183,31 @@ def generic_engine_lines() -> list[str]:
 def test_generic_engine_reprs():
     digest = hashlib.sha256("\n".join(generic_engine_lines()).encode()).hexdigest()
     assert digest == GENERIC_ENGINE_SHA256
+
+
+# ``apply`` and ``substitute`` on five- and six-photon states of two to
+# four modes, built the same way: sectors large enough that ``apply``'s
+# permanents run in several blocks of Gray-code steps and, on four modes,
+# in several groups of inputs.
+
+LARGE_SECTOR_SHA256 = "e4657f2ddce67620ec21070e13bc1587486ac2baed4c9a5a02433f9c4143f079"
+
+
+def large_sector_lines() -> list[str]:
+    rng = random.Random(20261020)
+    lines = []
+    for modes in (2, 3, 4):
+        for max_photons in (5, 6):
+            u = _golden_unitary(rng, modes)
+            s = _golden_state(rng, modes, max_photons)
+            lines.append(repr(apply(u, s)))
+            lines.append(repr(substitute(state_to_polynomial(s), u)))
+    return lines
+
+
+def test_large_sector_reprs():
+    digest = hashlib.sha256("\n".join(large_sector_lines()).encode()).hexdigest()
+    assert digest == LARGE_SECTOR_SHA256
 
 
 # The scheme's scalar path (``run_scheme`` and ``stage_two``) on a seeded

@@ -146,57 +146,82 @@ class TestPermanent:
                 assert abs(permanent_kernel(m) - permanent_naive(m)) < 1e-12
 
 
-def _signed_zero_stack(rng, count, dim):
-    # Random entries with exact 0.0 and -0.0 parts mixed in, and every
-    # matrix's rows and columns drawn with repetition from two modes'
-    # worth of a random matrix, as apply's repeated-mode submatrices are.
-    parts = rng.uniform(-1, 1, (2, count, dim, dim))
+def _signed_zero_matrix(rng, modes):
+    # Random entries with exact 0.0 and -0.0 parts mixed in.
+    parts = rng.uniform(-1, 1, (2, modes, modes))
     parts[rng.random(parts.shape) < 0.25] = 0.0
     parts[rng.random(parts.shape) < 0.25] = -0.0
-    stack = np.empty((count, dim, dim), dtype=complex)
-    stack.real, stack.imag = parts
-    for mat in stack[: count // 2]:
-        rows = rng.integers(0, 2, dim)
-        cols = rng.integers(0, 2, dim)
-        mat[:] = mat[rows][:, cols]
-    return stack
+    m = np.empty((modes, modes), dtype=complex)
+    m.real, m.imag = parts
+    return m
+
+
+def _sector_inputs(photons, modes, rng=None, count=None):
+    # The sector's occupations as repeated mode lists: all of them, or
+    # ``count`` drawn with repetition.
+    occs = sector_occupations(photons, modes)
+    if count is not None:
+        occs = [occs[i] for i in rng.integers(0, len(occs), count)]
+    return [optics._repeat_modes(occ) for occ in occs]
+
+
+def _sector_reprs(matrix, photons, cols):
+    rows = np.array(_sector_inputs(photons, matrix.shape[0]))
+    got = optics._sector_permanents(matrix, rows, cols)
+    return [[repr(per) for per in row] for row in got]
+
+
+def _kernel_reprs(matrix, photons, cols):
+    rows = _sector_inputs(photons, matrix.shape[0])
+    return [[repr(permanent_kernel(matrix[np.ix_(r, c)])) for c in cols] for r in rows]
 
 
 class TestRyserStack:
-    """``optics._ryser_stack`` is ``permanent_kernel`` on each matrix of a
-    stack, bit for bit."""
+    """``optics._sector_permanents`` is ``permanent_kernel`` on the
+    submatrix of each (output, input) transition of a sector, bit for bit,
+    without gathering the submatrices."""
 
     @pytest.mark.parametrize("dim", range(3, 9))
     def test_equals_kernel_by_repr(self, dim):
         rng = np.random.default_rng(dim)
-        for count in (1, 7, 40):
-            stack = _signed_zero_stack(rng, count, dim)
-            got = [repr(per) for per in optics._ryser_stack(stack).tolist()]
-            assert got == [repr(permanent_kernel(mat)) for mat in stack]
+        for modes, count in ((1, 1), (2, 7), (3, 3)):
+            m = _signed_zero_matrix(rng, modes)
+            cols = _sector_inputs(dim, modes, rng, count)
+            assert _sector_reprs(m, dim, cols) == _kernel_reprs(m, dim, cols)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_exact_and_non_finite_parts(self, dim):
         """Parts drawn from 0.0, -0.0, +-1, +-0.5 and +-inf: row sums and
         products cancel to signed zeros or turn NaN, and each permanent's
-        parts still equal the kernel's. Dimensions 1 and 2 are below
-        ``apply``'s use, but there an infinite part shows whether the
+        parts still equal the kernel's. Sectors of 1 and 2 photons are
+        below ``apply``'s use, but there an infinite part shows whether the
         ``0.0 *`` terms of ``1.0+0j`` times the first row sum are kept."""
         rng = np.random.default_rng(11 + dim)
         values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, math.inf, -math.inf])
         weights = np.array([6, 6, 3, 3, 3, 3, 1, 1]) / 26
-        stack = np.empty((400, dim, dim), dtype=complex)
-        stack.real = rng.choice(values, size=stack.shape, p=weights)
-        stack.imag = rng.choice(values, size=stack.shape, p=weights)
-        stack[0] = 0j
-        stack[1].real, stack[1].imag = -0.0, -0.0
-        got = [repr(per) for per in optics._ryser_stack(stack).tolist()]
-        assert got == [repr(permanent_kernel(mat)) for mat in stack]
+        for n in range(90):
+            modes = 1 + n % 3
+            m = np.empty((modes, modes), dtype=complex)
+            m.real = rng.choice(values, size=m.shape, p=weights)
+            m.imag = rng.choice(values, size=m.shape, p=weights)
+            if n < 3:
+                m[:] = 0j
+            elif n < 6:
+                m.real, m.imag = -0.0, -0.0
+            cols = _sector_inputs(dim, modes)
+            assert _sector_reprs(m, dim, cols) == _kernel_reprs(m, dim, cols)
 
-    def test_stack_larger_than_one_chunk(self):
+    def test_stack_larger_than_one_chunk(self, monkeypatch):
+        """A ``_STACK_CHUNK`` below the sector's size splits the inputs into
+        groups (a last one short) and the Gray-code steps into blocks; the
+        bits stay the kernel's."""
         rng = np.random.default_rng(5)
-        stack = _signed_zero_stack(rng, optics._STACK_CHUNK + 5, 3)
-        got = [repr(per) for per in optics._ryser_stack(stack).tolist()]
-        assert got == [repr(permanent_kernel(mat)) for mat in stack]
+        m = _signed_zero_matrix(rng, 3)
+        for chunk in (1, 7, 35, 250):
+            monkeypatch.setattr(optics, "_STACK_CHUNK", chunk)
+            for photons in (3, 4):
+                cols = _sector_inputs(photons, 3)
+                assert _sector_reprs(m, photons, cols) == _kernel_reprs(m, photons, cols)
 
 
 class TestApply:
@@ -288,34 +313,51 @@ class TestApply:
     def test_kernel_sees_every_transition_of_three_or_more_photons(
         self, monkeypatch, modes, photons
     ):
-        """Each sector of k >= 3 photons reaches the stacked kernel
-        ``_ryser_stack`` as its N_out * N_in k x k transition submatrices,
-        output-major, in passes of at most ``_STACK_CHUNK`` matrices, and
-        never the scalar kernel; the split does not change a bit of the
-        result."""
+        """Each sector of k >= 3 photons reaches the sector kernel
+        ``_sector_permanents`` once, with the unitary's own matrix and the
+        repeated modes of the sector's inputs in the state's order: no
+        submatrix is gathered, and the scalar kernel is never called. A
+        ``_STACK_CHUNK`` that splits every sector into many groups and
+        blocks does not change a bit of the result."""
         s = random_state(np.random.default_rng(43), modes, photons)
         u = random_unitary(np.random.default_rng(47), modes)
         whole = repr(sorted(apply(u, s).amps.items()))
-        stacks = []
-        ryser_stack = optics._ryser_stack
+        calls = []
+        sector_permanents = optics._sector_permanents
 
-        def recording_stack(mats):
-            stacks.append(mats.copy())
-            return ryser_stack(mats)
+        def recording_kernel(matrix, rows, cols):
+            calls.append((matrix, rows, cols))
+            return sector_permanents(matrix, rows, cols)
 
-        monkeypatch.setattr(optics, "_ryser_stack", recording_stack)
+        monkeypatch.setattr(optics, "_sector_permanents", recording_kernel)
         monkeypatch.setattr(optics, "_STACK_CHUNK", 7)
         monkeypatch.setattr(optics, "permanent_kernel", None)
         assert repr(sorted(apply(u, s).amps.items())) == whole
 
-        assert all(len(mats) <= 7 for mats in stacks)
-        for k in range(3, photons + 1):
-            rows = [optics._repeat_modes(occ) for occ in sector_occupations(k, modes)]
-            cols = [optics._repeat_modes(occ) for occ in s.amps if sum(occ) == k]
-            passes = [mats for mats in stacks if mats.shape[1] == k]
-            assert len(passes) == -(-len(rows) * len(cols) // 7)
-            expected = np.array([u.matrix[r][:, c] for r in rows for c in cols])
-            assert np.array_equal(np.concatenate(passes), expected)
+        assert [rows.shape[1] for _, rows, _ in calls] == list(range(3, photons + 1))
+        for matrix, rows, cols in calls:
+            k = rows.shape[1]
+            assert matrix is u.matrix
+            assert np.array_equal(rows, _sector_inputs(k, modes))
+            assert cols == [optics._repeat_modes(occ) for occ in s.amps if sum(occ) == k]
+
+    def test_single_transition_sector_takes_the_scalar_kernel(self, monkeypatch):
+        """A one-mode sector has one transition; it goes to the scalar
+        kernel as its k x k matrix, never to the sector kernel."""
+        s = random_state(np.random.default_rng(53), 1, 5)
+        u = random_unitary(np.random.default_rng(59), 1)
+        whole = repr(sorted(apply(u, s).amps.items()))
+        dims = []
+        kernel = optics.permanent_kernel
+
+        def recording_kernel(m):
+            dims.append(m.shape)
+            return kernel(m)
+
+        monkeypatch.setattr(optics, "permanent_kernel", recording_kernel)
+        monkeypatch.setattr(optics, "_sector_permanents", None)
+        assert repr(sorted(apply(u, s).amps.items())) == whole
+        assert dims == [(k, k) for k in range(3, 6)]
 
     def test_unitarity_perturbation_detected(self):
         u = random_unitary(np.random.default_rng(41), 3)

@@ -14,10 +14,12 @@ from photonpurify import (
     NotSquare,
     StateVector,
     input_from_probability,
+    normalize,
     permanent,
     permanent_naive,
     run_checks,
     run_scheme,
+    sector_occupations,
 )
 from photonpurify import verify
 from photonpurify.verify import (
@@ -76,6 +78,21 @@ class TestHelpers:
         assert abs(s.norm_squared - 1.0) < 1e-12
         photons = {sum(occ) for occ in s.amps}
         assert photons == {0, 1, 2, 3}
+
+    def test_random_state_draws_each_part_in_turn(self):
+        """The seeded stream is read as one rng.normal() per part, real then
+        imaginary, occupation by occupation: verify's inputs, and so its
+        output, stay those of that loop."""
+        for seed, modes, max_photons in [(0, 1, 0), (5, 2, 3), (9, 3, 4), (11, 4, 2)]:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            amps = {
+                occ: complex(ref.normal(), ref.normal())
+                for photons in range(max_photons + 1)
+                for occ in sector_occupations(photons, modes)
+            }
+            expected, _ = normalize(StateVector(modes, amps))
+            assert repr(random_state(rng, modes, max_photons)) == repr(expected)
+            assert rng.normal() == ref.normal()
 
     def test_random_matrix_entries_bounded(self):
         rng = np.random.default_rng(7)
@@ -149,6 +166,22 @@ class TestRunChecks:
         worst = float(np.max(deficits, initial=0.0))
         assert check_purity_grid().detail == f"max fidelity deficit {worst:.3e} on 10x10x4x4 grid"
 
+    def test_purity_grid_builds_no_rows(self, monkeypatch):
+        """The check reads the walk's columns: it passes, with the same
+        detail, when building a row dict would fail."""
+        from photonpurify import sweep
+
+        detail = check_purity_grid().detail
+
+        def forbidden(*args):
+            raise AssertionError("row dicts built")
+
+        monkeypatch.setattr(sweep, "sweep_rows", forbidden)
+        monkeypatch.setattr(sweep, "result_row", forbidden)
+        result = check_purity_grid()
+        assert result.passed
+        assert result.detail == detail
+
     def test_wrong_success_fails_dominance(self, monkeypatch):
         real_run_scheme = verify.run_scheme
 
@@ -177,9 +210,9 @@ class TestRunChecks:
              "photonpurify.verify.permanent_naive", lambda m: complex(NAN, 0.0)),
             (lambda: verify.check_apply_vs_oracle(np.random.default_rng(0), 3),
              "photonpurify.verify.amplitude_distance", lambda a, b: NAN),
-            # check_purity_grid imports sweep_rows from sweep when it runs.
-            (verify.check_purity_grid, "photonpurify.sweep.sweep_rows",
-             lambda cfg: [{"fidelity": NAN, "degenerate": False}]),
+            # check_purity_grid imports _walk from sweep when it runs.
+            (verify.check_purity_grid, "photonpurify.sweep._walk",
+             lambda cfg, axis: iter([([[0.5]] * 4, [[0.0], [0.0], [0.25], [NAN], [False]])])),
         ],
         ids=["norm-preservation", "permanent-vs-oracle", "apply-vs-oracle", "purity-grid"],
     )
