@@ -6,7 +6,9 @@ and a one-photon detection then herald an exact |1> state. This package
 simulates the circuit on sparse Fock states, solves the cancellation
 splitter Lambda (the second splitter Lambda' is its analytic optimum, a
 fixed 50/50 splitter), sweeps parameter grids deterministically, and
-checks itself against a permanent-free oracle.
+checks itself against a permanent-free oracle. ``run_scheme`` is the one
+route through the circuit; any other Lambda or Lambda' runs on the generic
+engine (``tensor``, ``apply``, ``condition``) that it matches bit for bit.
 """
 
 from .errors import (
@@ -18,7 +20,6 @@ from .errors import (
     NotSquare,
     NotUnitary,
     OutOfRange,
-    PurityViolated,
     ZeroState,
 )
 from .expansion import (
@@ -50,19 +51,16 @@ from .optics import (
 )
 from .scheme import (
     SchemeResult,
-    StageOneCoefficients,
     closed_form_success,
     exact_success,
     run_scheme,
     solve_cancellation,
-    stage_one_coefficients,
-    stage_two,
     success_curve_new,
     success_curve_old,
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "8.2.6"
+__version__ = "9.0.0"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"
@@ -83,9 +81,7 @@ __all__ = [
     "NotSquare",
     "NotUnitary",
     "OutOfRange",
-    "PurityViolated",
     "SchemeResult",
-    "StageOneCoefficients",
     "StateVector",
     "ZeroState",
     "apply",
@@ -107,8 +103,6 @@ __all__ = [
     "run_scheme",
     "sector_occupations",
     "solve_cancellation",
-    "stage_one_coefficients",
-    "stage_two",
     "state_to_polynomial",
     "substitute",
     "success_curve_new",

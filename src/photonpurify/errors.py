@@ -33,10 +33,6 @@ class IndexOutOfRange(IndexError):
     """A mode index lies outside the state's modes."""
 
 
-class PurityViolated(ValueError):
-    """Stage two requires the one-photon amplitude to be cancelled first."""
-
-
 class OutOfRange(ValueError):
     """A scalar parameter lies outside its documented interval."""
 

@@ -36,11 +36,12 @@ skips those with an exact 0j, which can change only the sign of a zero
 that the projection then clears, so every result is bit-identical to the
 generic engine's, the reference the tests compare against.
 
-``run_scheme`` and ``stage_two`` run the stages on complex scalars, and
-only the heralded output becomes a ``StateVector``. Sweeps run them
-through ``_run_batch``, ``_BATCH_CHUNK`` pairs at a time, on
-``optics._Lanes``: one complex per pair, held as float64 arrays of
-parts. The lane rules that keep ``run_scheme``'s bits:
+Stage 2 runs only at the optimum; any other Lambda' runs on that generic
+engine. ``run_scheme`` runs the stages on complex scalars, and only the
+heralded output becomes a ``StateVector``. Sweeps run them through
+``_run_batch``, ``_BATCH_CHUNK`` pairs at a time, on ``optics._Lanes``:
+one complex per pair, held as float64 arrays of parts. The lane rules
+that keep ``run_scheme``'s bits:
 
 * ``_Lanes`` does complex arithmetic in CPython 3.10-3.12's order;
 * atan, atan2, cos, sin and exp run per element through Python floats,
@@ -73,15 +74,12 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import OutOfRange, PurityViolated
+from .errors import OutOfRange
 from .fock import InputState, StateVector, _normalized, _squared_norm, _stored
 from .optics import BeamSplitterParams, _Lanes, _splitter_formula, beamsplitter_matrix
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-#: Residual single-photon amplitude allowed after cancellation.
-CANCEL_TOL = 1e-10
 
 # The stage-2 optimum for every c: a 50/50 splitter with phi2 = 0.
 _STAGE_TWO_OPTIMUM = BeamSplitterParams(math.pi / 4, 0.0)
@@ -93,19 +91,6 @@ _SQRT2 = math.sqrt(2.0)
 NO_PHOTON_PAIR = "no-photon-pair"
 NO_VACUUM_AMPLITUDE = "no-vacuum-amplitude"
 CANCELLATION_VACUOUS = "cancellation-vacuous"
-
-
-@dataclass(frozen=True)
-class StageOneCoefficients:
-    """Unnormalized |0>, |1>, |2> amplitudes after the first detection."""
-
-    c0: complex
-    c1: complex
-    c2: complex
-
-    @property
-    def norm_squared(self) -> float:
-        return _squared_norm((self.c0, self.c1, self.c2))
 
 
 @dataclass(frozen=True)
@@ -121,17 +106,6 @@ class SchemeResult:
     degenerate: bool
     degenerate_reasons: tuple[str, ...]
     output_state: StateVector | None
-
-
-def stage_one_coefficients(
-    in1: InputState, in2: InputState, bs: BeamSplitterParams
-) -> StageOneCoefficients:
-    """Closed-form amplitudes left on the undetected stage-1 mode."""
-    (m00, m01), _ = beamsplitter_matrix(bs)
-    c0 = in1.alpha * in2.alpha
-    c1 = in2.alpha * in1.beta * m00 + in1.alpha * in2.beta * m01
-    c2 = math.sqrt(2.0) * in1.beta * in2.beta * m00 * m01
-    return StageOneCoefficients(complex(c0), complex(c1), complex(c2))
 
 
 def solve_cancellation(
@@ -161,29 +135,6 @@ def solve_cancellation(
     return BeamSplitterParams(math.atan(size), cmath.phase(ratio)), False
 
 
-def stage_two(
-    c: StageOneCoefficients, bs2: BeamSplitterParams
-) -> tuple[float, StateVector | None]:
-    """Mix the conditioned mode with vacuum and herald on one photon.
-
-    The vacuum ancilla enters Lambda' first, the normalized conditioned
-    mode second, and the detector watches the conditioned mode's port.
-    Returns the conditional success probability and the heralded state on
-    the ancilla's port, or (0.0, None) when no amplitude survives pruning
-    and the detector can never fire. The purity precondition
-    |c1| <= CANCEL_TOL is enforced; past it the residual c1 is dropped, so
-    the heralded state is exactly |1>.
-    """
-    residual = math.hypot(c.c1.real, c.c1.imag)
-    if not residual <= CANCEL_TOL:  # NaN fails too
-        raise PurityViolated(f"|c1| = {residual:.3e} is not within {CANCEL_TOL:.0e}; cancel first")
-    alive, _, amps = _normalized((complex(c.c0), 0j, complex(c.c2)))
-    if not alive:
-        return 0.0, None
-    heralded, p, amps = _stage_two(_ScalarRules, amps, beamsplitter_matrix(bs2))
-    return p, _herald(amps) if heralded else None
-
-
 def _stage_one(rules, alpha1, beta1, alpha2, beta2, m):
     """``tensor`` of the inputs, ``apply`` (U's rows ``m``) and
     ``condition`` on no photon at mode 1: ``rules.normalized`` of mode 0's
@@ -206,10 +157,10 @@ def _stage_one(rules, alpha1, beta1, alpha2, beta2, m):
     return rules.normalized((0j + e00, 0j + c1, 0j + c2))
 
 
-def _stage_two(rules, amps, m):
+def _stage_two(rules, amps):
     """``tensor`` of the vacuum ancilla (mode 0) with the normalized mode
-    ``amps`` (mode 1), ``apply`` (U's rows ``m``) and ``condition`` on one
-    photon at mode 1: ``rules.normalized`` of mode 0's (|0>, |1>)
+    ``amps`` (mode 1), ``apply`` of the 50/50 Lambda' and ``condition`` on
+    one photon at mode 1: ``rules.normalized`` of mode 0's (|0>, |1>)
     amplitudes.
 
     Bit-identical to that route although it skips the products with the
@@ -219,7 +170,7 @@ def _stage_two(rules, amps, m):
     one photon at mode 1.
     """
     _, r1, r2 = amps
-    (_, m01), (_, m11) = m
+    (_, m01), (_, m11) = _STAGE_TWO_MATRIX
     return rules.normalized((0j + r1 * m11, 0j + r2 / _SQRT2 * (m01 * m11 + m01 * m11)))
 
 
@@ -272,9 +223,10 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     ``condition`` and ``normalize`` route. p_success is the joint
     probability of both outcomes.
 
-    Lambda' is the analytic optimum, a 50/50 splitter; for any other
-    Lambda' use ``stage_two(stage_one_coefficients(in1, in2, lambda1),
-    bs2)``. Degenerate inputs never raise; they come back flagged with
+    Lambda' is the analytic optimum, a 50/50 splitter. For any other
+    Lambda', or any other Lambda, run the circuit on the generic engine
+    (``tensor``, ``apply``, ``condition``), which these stages match bit
+    for bit. Degenerate inputs never raise; they come back flagged with
     honestly computed probabilities.
     """
     params, vacuous = solve_cancellation(in1, in2)
@@ -282,7 +234,7 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     reasons = _REASONS_BY_CODE[_reason_code(a1, b1, a2, b2, vacuous)]
     # A stage 1 that heralds nothing leaves zeros, which herald nothing.
     _, p1, amps = _stage_one(_ScalarRules, a1, b1, a2, b2, beamsplitter_matrix(params))
-    heralded, p2, amps = _stage_two(_ScalarRules, amps, _STAGE_TWO_MATRIX)
+    heralded, p2, amps = _stage_two(_ScalarRules, amps)
     return SchemeResult(
         lambda1=params,
         lambda2=_STAGE_TWO_OPTIMUM,
@@ -373,7 +325,7 @@ def _batch_chunk(first, second):
     inputs = [_Lanes(x[k], x[k + 1]) for x in (first, second) for k in (0, 2)]
     theta, phi, vacuous = _solve_cancellation_lanes(*inputs)
     _, p1, amps = _stage_one(_LaneRules, *inputs, _LaneRules.splitter(theta, phi))
-    _, p2, amps = _stage_two(_LaneRules, amps, _STAGE_TWO_MATRIX)
+    _, p2, amps = _stage_two(_LaneRules, amps)
     codes = _reason_code(*inputs, vacuous)
     return _BatchColumns(theta, phi, p1, p2, p1 * p2, _fidelity(amps), codes)
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from photonpurify import (
     InputState,
-    StageOneCoefficients,
     apply,
     input_from_probability,
     outcome_distribution,
@@ -22,7 +21,6 @@ from photonpurify import (
     polynomial_to_state,
     run_scheme,
     solve_cancellation,
-    stage_two,
     state_to_polynomial,
     substitute,
     success_curve_new,
@@ -39,6 +37,7 @@ from photonpurify.verify import (
     random_state,
     random_unitary,
 )
+from circuit import squared_norm, stage_one_closed_form
 
 
 def test_balanced_half_inputs_reach_one_sixteenth():
@@ -144,17 +143,16 @@ def test_permanent_kernel_matches_permutation_sum():
 
 
 def test_stage_two_optimum_is_balanced():
+    # The 50/50 Lambda' reaches w / 2, the largest 2 w cos^2 sin^2, with w
+    # the two-photon weight of stage 1's closed form at the solved Lambda.
     rng = np.random.default_rng(113)
-    in1, in2 = input_from_probability(0.3, 0.4), input_from_probability(0.7, -1.1)
-    best = run_scheme(in1, in2).lambda2
     for _ in range(50):
-        c0 = complex(rng.uniform(0.05, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi)))
-        c2 = complex(rng.uniform(0.05, 1.0) * np.exp(1j * rng.uniform(-math.pi, math.pi)))
-        c = StageOneCoefficients(c0, 0.0, c2)
-        assert abs(best.theta - math.pi / 4) <= 1e-8
-        achieved, _ = stage_two(c, best)
-        weight = abs(c2) ** 2 / c.norm_squared
-        assert abs(achieved - weight / 2) <= 1e-10
+        in1, in2 = (input_from_probability(rng.uniform(), rng.uniform(-math.pi, math.pi)) for _ in range(2))
+        res = run_scheme(in1, in2)
+        assert abs(res.lambda2.theta - math.pi / 4) <= 1e-8
+        c = stage_one_closed_form(in1, in2, res.lambda1)
+        weight = abs(c[2]) ** 2 / squared_norm(c)
+        assert abs(res.stage_two_probability - weight / 2) <= 1e-10
 
 
 def test_sweep_output_is_byte_stable(tmp_path):

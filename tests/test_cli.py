@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from photonpurify import PurityViolated, __version__, cli
+from photonpurify import AmplitudeOverflow, __version__, cli
 from photonpurify.cli import main
 from photonpurify.verify import CheckResult
 from photonpurify.sweep import CSV_HEADER
@@ -349,12 +349,12 @@ def test_failed_check_exits_one(capsys, monkeypatch):
 @pytest.mark.parametrize("command, evaluate", [("run", "run_point"), ("sweep", "sweep_csv")])
 def test_invariant_failure_exits_one(capsys, monkeypatch, command, evaluate):
     def broken(*args):
-        raise PurityViolated("c1 was not cancelled")
+        raise AmplitudeOverflow("amplitude of magnitude 1.000e+200 squares past the float range")
 
     monkeypatch.setattr(cli, evaluate, broken)
     code, out, err = run_cli(capsys, command, "--p1", "0.5", "--p2", "0.5")
     assert code == 1
-    assert err.startswith("invariant failure: c1 was not cancelled")
+    assert err.startswith("invariant failure: amplitude of magnitude 1.000e+200")
     assert out == ""
 
 

@@ -5,34 +5,28 @@ import numpy as np
 import pytest
 
 from photonpurify import (
-    AmplitudeOverflow,
     BeamSplitterParams,
     InputState,
     OutOfRange,
-    PurityViolated,
-    StageOneCoefficients,
     apply,
     beamsplitter,
     closed_form_success,
     condition,
-    fidelity,
     fock_state,
     input_from_probability,
     input_to_state,
     run_scheme,
     solve_cancellation,
-    stage_one_coefficients,
-    stage_two,
     success_curve_new,
     success_curve_old,
     tensor,
 )
 from photonpurify.scheme import (
-    CANCEL_TOL,
     CANCELLATION_VACUOUS,
     NO_PHOTON_PAIR,
     NO_VACUUM_AMPLITUDE,
 )
+from circuit import conditioned_mode, reference_herald, squared_norm, stage_one_closed_form
 
 BALANCED = InputState(1 / math.sqrt(2), 1 / math.sqrt(2))
 HALF_PI = math.pi / 2
@@ -42,38 +36,46 @@ def random_input(rng, p_lo=0.05, p_hi=0.95):
     return input_from_probability(rng.uniform(p_lo, p_hi), rng.uniform(-math.pi, math.pi))
 
 
+def assert_engine_conditions_to(in1, in2, bs, c):
+    # The generic engine's stage 1 leaves the normalized closed form c.
+    res = condition(apply(beamsplitter(bs), tensor(input_to_state(in1), input_to_state(in2))), {1: 0})
+    assert abs(res.probability - squared_norm(c)) < 1e-12
+    scale = math.sqrt(squared_norm(c))
+    for n, coeff in enumerate(c):
+        assert abs(res.state.amplitude((n,)) - coeff / scale) < 1e-12
+
+
+def stage_two_probability(c, bs2):
+    # The generic engine's stage-2 probability for stage-1 amplitudes c.
+    return reference_herald(conditioned_mode(c[0], c[2]), bs2).probability
+
+
 class TestStageOneCoefficients:
+    # The module docstring's closed form for c0, c1 and c2, held to the
+    # generic engine's conditioning.
     def test_balanced_inputs(self):
-        c = stage_one_coefficients(BALANCED, BALANCED, BeamSplitterParams(math.pi / 4, math.pi))
-        assert abs(c.c0 - 0.5) < 1e-15
-        assert abs(c.c1) < 1e-15
-        assert abs(c.c2 - (-math.sqrt(2) / 4)) < 1e-15
-        assert abs(c.norm_squared - 0.375) < 1e-15
+        bs = BeamSplitterParams(math.pi / 4, math.pi)
+        c0, c1, c2 = c = stage_one_closed_form(BALANCED, BALANCED, bs)
+        assert abs(c0 - 0.5) < 1e-15
+        assert abs(c1) < 1e-15
+        assert abs(c2 - (-math.sqrt(2) / 4)) < 1e-15
+        assert abs(squared_norm(c) - 0.375) < 1e-15
+        assert_engine_conditions_to(BALANCED, BALANCED, bs, c)
 
     def test_identity_splitter_keeps_input_one(self):
-        c = stage_one_coefficients(InputState(0.6, 0.8), InputState(1.0, 0.0),
-                                   BeamSplitterParams(0.0, 0.0))
-        assert abs(c.c0 - 0.6) < 1e-15
-        assert abs(c.c1 - 0.8) < 1e-15
-        assert abs(c.c2) < 1e-15
+        in1, in2, bs = InputState(0.6, 0.8), InputState(1.0, 0.0), BeamSplitterParams(0.0, 0.0)
+        c0, c1, c2 = c = stage_one_closed_form(in1, in2, bs)
+        assert abs(c0 - 0.6) < 1e-15
+        assert abs(c1 - 0.8) < 1e-15
+        assert abs(c2) < 1e-15
+        assert_engine_conditions_to(in1, in2, bs, c)
 
     def test_matches_simulated_conditioning(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             in1, in2 = random_input(rng), random_input(rng)
             bs = BeamSplitterParams(rng.uniform(0, HALF_PI), rng.uniform(-math.pi, math.pi))
-            c = stage_one_coefficients(in1, in2, bs)
-            joint = tensor(input_to_state(in1), input_to_state(in2))
-            res = condition(apply(beamsplitter(bs), joint), {1: 0})
-            assert abs(res.probability - c.norm_squared) < 1e-12
-            scale = math.sqrt(c.norm_squared)
-            for n, coeff in enumerate((c.c0, c.c1, c.c2)):
-                assert abs(res.state.amplitude((n,)) - coeff / scale) < 1e-12
-
-
-    def test_norm_squared_of_huge_coefficients_is_package_error(self):
-        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
-            StageOneCoefficients(1e200, 0, 0).norm_squared
+            assert_engine_conditions_to(in1, in2, bs, stage_one_closed_form(in1, in2, bs))
 
 
 class TestSolveCancellation:
@@ -120,69 +122,36 @@ class TestSolveCancellation:
             in1, in2 = random_input(rng), random_input(rng)
             params, vacuous = solve_cancellation(in1, in2)
             assert not vacuous
-            c = stage_one_coefficients(in1, in2, params)
-            assert abs(c.c1) < 1e-14
+            _, c1, _ = stage_one_closed_form(in1, in2, params)
+            assert abs(c1) < 1e-14
 
 
 class TestStageTwo:
+    # Stage 2 at any Lambda' runs on the generic engine.
     def test_pure_pair_gives_half(self):
-        prob, state = stage_two(StageOneCoefficients(0, 0, 1), BeamSplitterParams(math.pi / 4, 0))
-        assert abs(prob - 0.5) < 1e-12
-        assert set(state.amps) == {(1,)}
-        assert abs(abs(state.amplitude((1,))) - 1.0) < 1e-12
+        res = reference_herald(fock_state((2,)), BeamSplitterParams(math.pi / 4, 0))
+        assert abs(res.probability - 0.5) < 1e-12
+        assert set(res.state.amps) == {(1,)}
+        assert abs(abs(res.state.amplitude((1,))) - 1.0) < 1e-12
 
     def test_pure_vacuum_never_heralds(self):
-        prob, state = stage_two(StageOneCoefficients(1, 0, 0), BeamSplitterParams(math.pi / 4, 0))
-        assert prob == 0.0
-        assert state is None
-
-    def test_amplitudes_at_the_prune_threshold_herald(self):
-        # StateVector keeps |z| >= PRUNE_THRESHOLD, so both terms survive and
-        # the normalized pair heralds like equal c0 and c2 do.
-        prob, state = stage_two(StageOneCoefficients(1e-14, 0, 1e-14), BeamSplitterParams(math.pi / 4, 0))
-        assert abs(prob - 0.25) < 1e-12
-        assert fidelity(state, fock_state((1,))) == pytest.approx(1.0, abs=1e-12)
-
-    def test_amplitudes_below_the_prune_threshold_never_herald(self):
-        prob, state = stage_two(StageOneCoefficients(9.9e-15, 0, 9.9e-15), BeamSplitterParams(math.pi / 4, 0))
-        assert prob == 0.0
-        assert state is None
-
-    def test_huge_coefficients_are_package_error(self):
-        with pytest.raises(AmplitudeOverflow, match="1.000e[+]200"):
-            stage_two(StageOneCoefficients(1e200, 0, 1e200), BeamSplitterParams(0.3, 0.4))
+        res = reference_herald(fock_state((0,)), BeamSplitterParams(math.pi / 4, 0))
+        assert res.probability == 0.0
+        assert res.state is None
 
     def test_balanced_coefficients_give_one_sixth(self):
-        c = StageOneCoefficients(0.5, 0.0, -math.sqrt(2) / 4)
-        prob, state = stage_two(c, BeamSplitterParams(math.pi / 4, 0))
-        assert abs(prob - 1 / 6) < 1e-12
-        assert set(state.amps) == {(1,)}
-
-    def test_rejects_residual_middle_term(self):
-        with pytest.raises(PurityViolated):
-            stage_two(StageOneCoefficients(0.5, 0.1, 0.5), BeamSplitterParams(math.pi / 4, 0))
-        # A NaN c1 is not within the tolerance, and a modulus past the
-        # float range still compares: neither may pass or escape as a
-        # bare OverflowError.
-        for c1 in (math.nan, complex(1.5e308, 1.5e308)):
-            with pytest.raises(PurityViolated):
-                stage_two(StageOneCoefficients(0.6, c1, 0.8), BeamSplitterParams(math.pi / 4, 0))
-
-    def test_tolerates_tiny_residual(self):
-        prob, _ = stage_two(
-            StageOneCoefficients(0.5, CANCEL_TOL / 2, -math.sqrt(2) / 4),
-            BeamSplitterParams(math.pi / 4, 0),
-        )
-        assert abs(prob - 1 / 6) < 1e-9
+        res = reference_herald(conditioned_mode(0.5, -math.sqrt(2) / 4), BeamSplitterParams(math.pi / 4, 0))
+        assert abs(res.probability - 1 / 6) < 1e-12
+        assert set(res.state.amps) == {(1,)}
 
     def test_angle_dependence_matches_closed_form(self):
         rng = np.random.default_rng(41)
-        c = StageOneCoefficients(0.5, 0.0, -math.sqrt(2) / 4)
-        weight = abs(c.c2) ** 2 / c.norm_squared
+        c = (0.5, 0.0, -math.sqrt(2) / 4)
+        weight = abs(c[2]) ** 2 / squared_norm(c)
         for _ in range(20):
             theta2 = rng.uniform(0, HALF_PI)
             phi2 = rng.uniform(-math.pi, math.pi)
-            prob, _ = stage_two(c, BeamSplitterParams(theta2, phi2))
+            prob = stage_two_probability(c, BeamSplitterParams(theta2, phi2))
             expected = 2 * weight * (math.sin(theta2) * math.cos(theta2)) ** 2
             assert abs(prob - expected) < 1e-12
 
@@ -195,10 +164,10 @@ class TestOptimizeStageTwo:
             res = run_scheme(in1, in2)
             assert abs(res.lambda2.theta - math.pi / 4) < 1e-8
             assert res.lambda2.phi == 0.0
-            c = stage_one_coefficients(in1, in2, res.lambda1)
-            p_best, _ = stage_two(c, res.lambda2)
+            c = stage_one_closed_form(in1, in2, res.lambda1)
+            p_best = stage_two_probability(c, res.lambda2)
             for theta2 in np.linspace(0.0, HALF_PI, 9):
-                p_other, _ = stage_two(c, BeamSplitterParams(theta2, 0.0))
+                p_other = stage_two_probability(c, BeamSplitterParams(theta2, 0.0))
                 assert p_other <= p_best + 1e-12
 
     def test_flat_objective_falls_back_to_balanced(self):
@@ -206,17 +175,12 @@ class TestOptimizeStageTwo:
         assert res.stage_two_probability == 0.0
         assert res.lambda2.theta == pytest.approx(math.pi / 4, abs=1e-15)
 
-    def test_rejects_residual_middle_term(self):
-        best = run_scheme(BALANCED, BALANCED).lambda2
-        with pytest.raises(PurityViolated):
-            stage_two(StageOneCoefficients(0.5, 0.3, 0.5), best)
-
     def test_optimum_beats_neighbors(self):
-        c = StageOneCoefficients(0.3, 0.0, 0.7)
+        c = (0.3, 0.0, 0.7)
         best = BeamSplitterParams(math.pi / 4, 0.0)
-        p_best, _ = stage_two(c, best)
+        p_best = stage_two_probability(c, best)
         for delta in (-0.01, 0.01):
-            p_off, _ = stage_two(c, BeamSplitterParams(best.theta + delta, 0.0))
+            p_off = stage_two_probability(c, BeamSplitterParams(best.theta + delta, 0.0))
             assert p_best >= p_off
 
 
@@ -284,11 +248,13 @@ class TestRunScheme:
             in1, in2 = random_input(rng), random_input(rng)
             res = run_scheme(in1, in2)
             params, _ = solve_cancellation(in1, in2)
-            c = stage_one_coefficients(in1, in2, params)
-            assert abs(res.stage_one_probability - c.norm_squared) < 1e-12
-            p2, _ = stage_two(c, res.lambda2)
+            c = stage_one_closed_form(in1, in2, params)
+            n2 = squared_norm(c)
+            assert abs(res.stage_one_probability - n2) < 1e-12
+            # At the 50/50 optimum, 2 |c2|^2 / n2 cos^2 sin^2 = |c2|^2 / (2 n2).
+            p2 = abs(c[2]) ** 2 / (2 * n2)
             assert abs(res.stage_two_probability - p2) < 1e-12
-            assert abs(res.p_success - c.norm_squared * p2) < 1e-12
+            assert abs(res.p_success - n2 * p2) < 1e-12
 
     def test_output_is_pure_across_random_inputs(self):
         rng = np.random.default_rng(53)

@@ -1,13 +1,15 @@
 """Bit-identity of the scheme's scalar stages against the generic Fock engine.
 
-``run_scheme`` and ``stage_two`` evaluate the two-photon circuit on
-complex scalars. The reference below rebuilds the same circuit from the
-public generic engine (``tensor``, ``apply``, ``condition``), and every
-result must match it exactly, compared by ``repr`` so that the last bit
-and the sign of a zero count. Further tests keep the scalar path scalar:
-no numpy splitter and one ``StateVector``, the heralded output, per call.
-The last ones hold the sweeps' vectorized batch to ``run_scheme`` in the
-same way, on any valid pair of inputs.
+``run_scheme`` evaluates the two-photon circuit on complex scalars. The
+reference below rebuilds the same circuit from the public generic engine
+(``tensor``, ``apply``, ``condition``), and every result must match it
+exactly, compared by ``repr`` so that the last bit and the sign of a zero
+count. That engine is also the route for a Lambda' other than the 50/50
+optimum, and two tests hold its stage 2 at any Lambda' to the closed
+form, down to the prune threshold. Further tests keep the scalar path
+scalar: no numpy splitter and one ``StateVector``, the heralded output,
+per call. The last ones hold the sweeps' vectorized batch to
+``run_scheme`` in the same way, on any valid pair of inputs.
 """
 
 import cmath
@@ -25,7 +27,6 @@ from photonpurify import (
     InputState,
     InterferometerUnitary,
     NotUnitary,
-    StageOneCoefficients,
     StateVector,
     apply,
     beamsplitter,
@@ -35,14 +36,12 @@ from photonpurify import (
     fock_state,
     input_from_probability,
     input_to_state,
-    normalize,
     run_scheme,
     scheme,
     solve_cancellation,
-    stage_two,
     tensor,
-    vacuum,
 )
+from photonpurify.errors import ZeroState
 from photonpurify.fock import PRUNE_THRESHOLD
 from photonpurify.optics import beamsplitter_matrix
 from photonpurify.scheme import (
@@ -52,15 +51,10 @@ from photonpurify.scheme import (
     SchemeResult,
 )
 from photonpurify.sweep import RangeSpec
+from circuit import conditioned_mode, reference_herald
 from seeded_pairs import edge_pairs, scalar_path_pairs
 
 BALANCED = BeamSplitterParams(math.pi / 4, 0.0)
-
-
-def reference_herald(c_state: StateVector, bs2: BeamSplitterParams):
-    # Stage 2 on (vacuum ancilla, conditioned mode), detecting one photon
-    # at the conditioned mode's port.
-    return condition(apply(beamsplitter(bs2), tensor(vacuum(1), c_state)), {1: 1})
 
 
 def reference_run(in1, in2) -> SchemeResult:
@@ -155,27 +149,33 @@ def test_matches_reference_near_the_edges(p1, p2, phase1, phase2):
     assert_same_run(p1, p2, phase1, phase2)
 
 
-def assert_same_stage_two(c: StageOneCoefficients, bs2: BeamSplitterParams):
-    got = stage_two(c, bs2)
-    raw = {(0,): complex(c.c0), (2,): complex(c.c2)}
-    if all(abs(z) < PRUNE_THRESHOLD for z in raw.values()):
-        # StateVector would refuse the all-pruned state; stage_two reports
-        # a detector that can never fire.
-        assert got == (0.0, None)
+def assert_stage_two_matches_closed_form(c0, c2, bs2: BeamSplitterParams):
+    # The engine's stage 2 on the mode c0 |0> + c2 |2> against
+    # 2 w cos^2(theta2) sin^2(theta2), w = |c2|^2 / (|c0|^2 + |c2|^2) over
+    # the amplitudes the mode keeps: equal to 1e-12, or 0.0 where the
+    # heralding amplitude, below the prune threshold, is pruned. Whatever
+    # it heralds is exactly |1>.
+    raw = {(0,): complex(c0), (2,): complex(c2)}
+    kept = [abs(z) if abs(z) >= PRUNE_THRESHOLD else 0.0 for z in raw.values()]
+    if not any(kept):
+        with pytest.raises(ZeroState):  # the engine refuses the all-pruned mode
+            StateVector(1, raw)
         return
-    c_state, _ = normalize(StateVector(1, raw))
-    want = reference_herald(c_state, bs2)
-    assert repr(got) == repr((want.probability, want.state))
+    got = reference_herald(conditioned_mode(c0, c2), bs2)
+    weight = kept[1] ** 2 / (kept[0] ** 2 + kept[1] ** 2)
+    sc = math.sin(bs2.theta) * math.cos(bs2.theta)
+    want = 2 * weight * sc * sc
+    assert got.probability == pytest.approx(want, rel=1e-12, abs=2 * PRUNE_THRESHOLD**2)
+    assert got.state is None or set(got.state.amps) == {(1,)}
 
 
 def test_stage_two_matches_reference():
     rng = np.random.default_rng(9)
     for i in range(2000):
         c0, c2 = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-16, 0) for _ in range(2))
-        c1 = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-20, -12)
         theta = (0.0, math.pi / 4, math.pi / 2, rng.uniform(0, math.pi / 2))[i % 4]
         bs2 = BeamSplitterParams(theta, rng.uniform(-math.pi, math.pi))
-        assert_same_stage_two(StageOneCoefficients(c0, c1, c2), bs2)
+        assert_stage_two_matches_closed_form(c0, c2, bs2)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2, 0.3])
@@ -183,7 +183,7 @@ def test_stage_two_matches_reference():
     "c0, c2", [(1.0, 0.0), (0.0, 1.0), (1e-14, 0.5), (0.5, 1e-14), (1e-14, 1e-14), (9.9e-15, 9.9e-15)]
 )
 def test_stage_two_matches_reference_at_the_prune_threshold(theta, c0, c2):
-    assert_same_stage_two(StageOneCoefficients(c0, 0.0, c2), BeamSplitterParams(theta, 0.4))
+    assert_stage_two_matches_closed_form(c0, c2, BeamSplitterParams(theta, 0.4))
 
 
 @pytest.fixture
@@ -224,18 +224,6 @@ def test_scalar_path_builds_only_the_heralded_state(constructions):
         heralded += expected
         assert constructions == {"StateVector": expected, "InterferometerUnitary": 0}
     assert 0 < heralded < len(pairs)
-
-    rng = np.random.default_rng(4)
-    heralded = 0
-    for i in range(200):
-        c0, c2 = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-15, 0) for _ in range(2))
-        bs2 = BeamSplitterParams((0.0, math.pi / 4, math.pi / 2, 0.3)[i % 4], rng.uniform(-math.pi, math.pi))
-        constructions["StateVector"] = 0
-        _, state = stage_two(StageOneCoefficients(c0, 0j, c2), bs2)
-        expected = 0 if state is None else 1
-        heralded += expected
-        assert constructions == {"StateVector": expected, "InterferometerUnitary": 0}
-    assert 0 < heralded < 200
 
 
 def test_scalar_splitter_matches_numpy_splitter():
