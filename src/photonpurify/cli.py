@@ -20,9 +20,6 @@ from .sweep import (
     RunConfig,
     SweepConfig,
     fixed,
-    result_row,
-    rows_to_csv,
-    rows_to_json,
     run_point,
     sweep_csv,
     sweep_rows,
@@ -176,11 +173,12 @@ def _sweep_config(args) -> SweepConfig:
 
 
 def cmd_run(config: RunConfig) -> str:
-    """Evaluate one input pair and render the report."""
-    result = run_point(config.p1, config.p2, config.phase1, config.phase2)
+    """Evaluate one input pair and render the report. The CSV report is
+    the one-point sweep of the pair."""
     if config.output_format == "csv":
-        row = result_row(config.p1, config.p2, config.phase1, config.phase2, result)
-        return rows_to_csv([row])
+        point = (config.p1, config.p2, config.phase1, config.phase2)
+        return sweep_csv(SweepConfig(*map(fixed, point)))
+    result = run_point(config.p1, config.p2, config.phase1, config.phase2)
     fields = [
         ("p1", config.p1),
         ("p2", config.p2),
@@ -211,7 +209,7 @@ def cmd_run(config: RunConfig) -> str:
 def cmd_sweep(config: SweepConfig) -> str:
     """Evaluate the grid and render rows in the configured format."""
     if config.output_format == "json":
-        return rows_to_json(sweep_rows(config))
+        return json.dumps(sweep_rows(config), indent=2) + "\n"
     return sweep_csv(config)
 
 

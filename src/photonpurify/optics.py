@@ -225,9 +225,9 @@ class _Lanes:
     floats) of real and imaginary parts: the complex arithmetic of
     ``scheme``'s sweep batch and of :func:`_sector_permanents`.
 
-    ``+ - * /``, unary minus, ``abs``, ``conjugate`` and ``==`` give every
-    lane the bits that CPython 3.10-3.12 gives the same operation on
-    complexes: ``_Py_c_prod`` for products, and both Smith branches of
+    ``+ * /``, unary minus, ``abs`` and ``==`` give every lane the bits
+    that CPython 3.10-3.12 gives the same operation on complexes:
+    ``_Py_c_prod`` for products, and both Smith branches of
     ``_Py_c_quot``, chosen per lane, for quotients. The other operand, on
     either side, is read through ``.real`` and ``.imag``, which a lane
     value shares with complex, float, int and ndarray; a real x has
@@ -245,12 +245,6 @@ class _Lanes:
 
     def __add__(self, other):
         return _Lanes(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other):
-        return _Lanes(self.real - other.real, self.imag - other.imag)
-
-    def __rsub__(self, other):
-        return _Lanes(other.real - self.real, other.imag - self.imag)
 
     def __mul__(self, other):
         # _Py_c_prod
@@ -284,9 +278,6 @@ class _Lanes:
 
     def __abs__(self):
         return np.hypot(self.real, self.imag)
-
-    def conjugate(self):
-        return _Lanes(self.real, -self.imag)
 
     def __eq__(self, other):
         return (self.real == other.real) & (self.imag == other.imag)

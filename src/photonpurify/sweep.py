@@ -16,11 +16,12 @@ row layout, ``_ROW_FIELDS``, with each point's axis values picked by the
 positions of its two inputs.
 
 ``sweep_csv`` formats those columns straight into CSV lines, chunk by
-chunk, and builds no row dicts. ``sweep_rows`` zips them into one dict
-per point, equal to a per-point ``run_point`` by ``repr``, and JSON
-output serializes those rows. ``rows_to_csv`` formats any rows with
-``sweep_csv``'s line builder. ``grid_points`` writes the grid order out
-point by point, as the reference the tests hold the walk to.
+chunk, and builds no row dicts. It is the package's one CSV writer:
+``run --format csv`` prints the one-point sweep of its inputs.
+``sweep_rows`` zips the columns into one dict per point, equal to a
+per-point ``run_point`` by ``repr``, and JSON output serializes those
+rows. ``grid_points`` writes the grid order out point by point, as the
+reference the tests hold the walk to.
 
 CSV output is byte-deterministic: fixed column order, fixed number
 formatting (12 significant digits, lowercase scientific below 1e-4, bare
@@ -34,7 +35,6 @@ once per chunk (0.0 and -0.0 share the cell "0").
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -169,14 +169,6 @@ def run_point(p1: float, p2: float, phase1: float, phase2: float) -> SchemeResul
     )
 
 
-def result_row(
-    p1: float, p2: float, phase1: float, phase2: float, result: SchemeResult
-) -> dict:
-    """Flat row for one grid point, keys matching the CSV header."""
-    results = (result.lambda1.theta, result.lambda1.phi, result.p_success, result.output_fidelity)
-    return dict(zip(_ROW_FIELDS, (p1, p2, phase1, phase2, *results, result.degenerate)))
-
-
 def _walk(cfg: SweepConfig, axis: Callable[[list[float]], list]) -> Iterator[tuple[list, list]]:
     """The grid's rows in grid order, chunk by chunk as ``_run_batch``
     yields them: per chunk, (the p1, p2, phase1 and phase2 columns, the
@@ -224,9 +216,10 @@ def sweep_rows(cfg: SweepConfig) -> list[dict]:
 
 
 def sweep_csv(cfg: SweepConfig) -> str:
-    """The grid's CSV table, byte-identical to
-    ``rows_to_csv(sweep_rows(cfg))``, formatted from the walk's columns
-    with no row dicts; each axis value is formatted once per sweep."""
+    """The grid's CSV table: a header line, then per point its
+    ``_ROW_FIELDS`` cells, the numbers through ``fmt``. Formatted from the
+    walk's columns with no row dicts; each axis value is formatted once
+    per sweep."""
     cells: dict[float, str] = {}
     blocks = [CSV_HEADER]
     for axes, (*numbers, degenerate) in _walk(cfg, lambda values: list(_formatted(values, cells))):
@@ -274,15 +267,3 @@ def _csv_block(
     flags = map(_FLAG_CELLS.__getitem__, degenerate)
     return "\n".join(map(",".join, zip(*leading, *columns, flags)))
 
-
-def rows_to_csv(rows: list[dict]) -> str:
-    """The CSV table of row dicts, through ``sweep_csv``'s line builder."""
-    if not rows:
-        return CSV_HEADER + "\n"
-    numbers = [[float(row[name]) for row in rows] for name in _ROW_FIELDS[:-1]]
-    degenerate = [bool(row["degenerate"]) for row in rows]
-    return CSV_HEADER + "\n" + _csv_block([], numbers, degenerate) + "\n"
-
-
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"

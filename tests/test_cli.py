@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -66,6 +67,36 @@ class TestRun:
         row = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
         assert row["p_success"] == "0.0625"
         assert row["degenerate"] == "false"
+
+    def test_csv_equals_one_point_sweep(self, capsys, tmp_path):
+        # run's CSV is, byte for byte, what sweep prints for the same fixed
+        # flags, at edge probabilities and phases: every pair of p values,
+        # and each phase on either side.
+        ps = ("0.0", "-0.0", "5e-324", "1e-20", "0.5", repr(1 - 7.3e-15), "1.0")
+        phases = (repr(-math.pi), "-0.0", "0.3", repr(math.pi))
+        for p1, p2, (phase1, phase2) in itertools.product(ps, ps, zip(phases, phases[::-1])):
+            flags = (f"--p1={p1}", f"--p2={p2}", f"--phase1={phase1}", f"--phase2={phase2}")
+            ran = run_cli(capsys, "run", *flags, "--format", "csv")
+            assert ran[0] == 0
+            assert ran == run_cli(capsys, "sweep", *flags), flags
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "input1": {"p": 1e-20, "phase": -math.pi},
+            "input2": {"p": 1 - 7.3e-15, "phase": -0.0},
+            "format": "csv",
+        }))
+        _, ran, _ = run_cli(capsys, "run", "--config", str(cfg))
+        flags = ("--p1=1e-20", f"--p2={1 - 7.3e-15!r}", f"--phase1={-math.pi!r}", "--phase2=-0.0")
+        assert ran == run_cli(capsys, "sweep", *flags)[1]
+
+    def test_csv_evaluates_no_run_point(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("run's CSV evaluated run_point")
+
+        monkeypatch.setattr(cli, "run_point", forbidden)
+        code, out, _ = run_cli(capsys, "run", "--p1", "0.5", "--p2", "0.5", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == CSV_HEADER
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

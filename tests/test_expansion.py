@@ -9,7 +9,6 @@ from photonpurify import (
     InputState,
     ModeMismatch,
     NotSquare,
-    StateVector,
     apply,
     beamsplitter,
     fock_state,

@@ -14,7 +14,6 @@ from photonpurify import (
     apply,
     beamsplitter,
     fock_state,
-    normalize,
     permanent,
     sector_occupations,
     vacuum,

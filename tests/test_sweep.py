@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -11,13 +12,11 @@ from photonpurify.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
     RangeSpec,
+    RunConfig,
     SweepConfig,
     fixed,
     fmt,
     grid_points,
-    result_row,
-    rows_to_csv,
-    rows_to_json,
     run_point,
     sweep_csv,
     sweep_rows,
@@ -56,9 +55,14 @@ SWEEPS = {
 
 @functools.cache
 def reference_rows(cfg: SweepConfig) -> list[dict]:
-    # One fresh pair of inputs per grid point; shared by the tests, which
-    # do not modify it.
-    return [result_row(*pt, run_point(*pt)) for pt in grid_points(cfg)]
+    # One fresh pair of inputs per grid point, its row keyed by the CSV
+    # header; shared by the tests, which do not modify it.
+    rows = []
+    for pt in grid_points(cfg):
+        res = run_point(*pt)
+        results = (res.lambda1.theta, res.lambda1.phi, res.p_success, res.output_fidelity, res.degenerate)
+        rows.append(dict(zip(CSV_HEADER.split(","), (*pt, *results))))
+    return rows
 
 
 def reference_csv(rows: list[dict]) -> str:
@@ -92,32 +96,30 @@ class TestEquivalence:
             pytest.fail(f"{len(differing)} of {len(want)} rows differ; first, row {k}: {got[k]} != {want[k]}")
 
     def test_csv_equals_per_cell_formula(self, sweep_case):
-        _, rows = sweep_case
-        assert rows_to_csv(rows) == reference_csv(rows)
+        # ``run --format csv`` at about 100 points of the grid, its last
+        # included: the per-cell formula of the point's reference row.
+        cfg, _ = sweep_case
+        points, rows = list(grid_points(cfg)), reference_rows(cfg)
+        step = max(1, len(points) // 100)
+        for k in sorted({*range(0, len(points), step), len(points) - 1}):
+            config = RunConfig(*points[k], output_format="csv")
+            assert cli.cmd_run(config) == reference_csv([rows[k]]), points[k]
 
     def test_columnar_csv_equals_per_cell_formula(self, sweep_case):
         cfg, _ = sweep_case
         assert sweep_csv(cfg) == reference_csv(reference_rows(cfg))
 
     def test_json_equals_json_dumps(self, sweep_case):
-        _, rows = sweep_case
-        assert rows_to_json(rows) == json.dumps(rows, indent=2) + "\n"
+        # A JSON sweep is json.dumps of the per-point reference rows.
+        cfg, _ = sweep_case
+        want = json.dumps(reference_rows(cfg), indent=2) + "\n"
+        assert cli.cmd_sweep(dataclasses.replace(cfg, output_format="json")) == want
 
     def test_signed_zero_phases_reach_rows(self):
         rows = sweep_rows(SWEEPS["signed-phases"])
         assert {repr(row["phase1"]) for row in rows} >= {"-0.0", repr(-PI)}
         assert {repr(row["phase2"]) for row in rows} >= {"0.0", repr(PI)}
 
-    def test_json_spells_non_finite_values_like_json_dumps(self):
-        finite = result_row(0.5, 0.5, 0.0, 0.0, run_point(0.5, 0.5, 0.0, 0.0))
-        odd = dict(finite, theta=math.nan, phi=math.inf, p_success=-math.inf, fidelity=-0.0)
-        rows = [finite, odd, finite]
-        assert rows_to_json(rows) == json.dumps(rows, indent=2) + "\n"
-        assert rows_to_csv(rows) == reference_csv(rows)
-
-    def test_json_of_no_rows(self):
-        assert rows_to_json([]) == json.dumps([], indent=2) + "\n"
-        assert rows_to_csv([]) == CSV_HEADER + "\n"
 
 
 @pytest.mark.parametrize("name, builds", [("phase-grid", 168), ("diagonal", 205), ("default", 22)])
@@ -150,10 +152,9 @@ def test_csv_sweep_builds_no_rows(monkeypatch, tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(PHASE_GRID))
     assert sweep_sha256("--format", "json") == PHASE_GRID_JSON_SHA256
-    # cli holds its own references to the row builders.
+    # cli holds its own reference to the row builder.
     for module in (sweep, cli):
         monkeypatch.setattr(module, "sweep_rows", forbidden)
-        monkeypatch.setattr(module, "result_row", forbidden)
     assert sweep_sha256() == PHASE_GRID_CSV_SHA256
 
 

@@ -177,7 +177,6 @@ class TestRunChecks:
             raise AssertionError("row dicts built")
 
         monkeypatch.setattr(sweep, "sweep_rows", forbidden)
-        monkeypatch.setattr(sweep, "result_row", forbidden)
         result = check_purity_grid()
         assert result.passed
         assert result.detail == detail
