@@ -452,10 +452,10 @@ def apply(u: InterferometerUnitary, s: StateVector) -> StateVector:
         if photons < 3:
             pers = [[_repeated_permanent(entries, r, c) for c in cols] for _, r in outputs.values()]
         elif len(outputs) * len(cols) == 1:
-            # A one-mode sector: a single scalar kernel call costs far less
-            # than one pass of the sector kernel, with the same bits.
-            (_, out_modes), = outputs.values()
-            pers = [[permanent_kernel(u.matrix[np.ix_(out_modes, cols[0])])]]
+            # A one-mode sector, whose matrix repeats the unitary's one
+            # entry: a single scalar kernel call costs far less than one
+            # pass of the sector kernel, with the same bits.
+            pers = [[permanent_kernel(np.full((photons, photons), entries[0][0]))]]
         else:
             pers = _sector_permanents(u.matrix, sector.rows, cols)
         for (out_occ, (scale, _)), row in zip(outputs.items(), pers):

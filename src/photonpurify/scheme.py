@@ -39,9 +39,9 @@ generic engine's, the reference the tests compare against.
 Stage 2 runs only at the optimum; any other Lambda' runs on that generic
 engine. ``run_scheme`` runs the stages on complex scalars, and only the
 heralded output becomes a ``StateVector``. Sweeps run them through
-``_run_batch``, ``_BATCH_CHUNK`` pairs at a time, on ``optics._Lanes``:
-one complex per pair, held as float64 arrays of parts. The lane rules
-that keep ``run_scheme``'s bits:
+``_run_batch``, one call per chunk of pairs that ``sweep`` cuts, on
+``optics._Lanes``: one complex per pair, held as float64 arrays of
+parts. The lane rules that keep ``run_scheme``'s bits:
 
 * ``_Lanes`` does complex arithmetic in CPython 3.10-3.12's order;
 * atan, atan2, cos, sin and exp run per element through Python floats,
@@ -70,7 +70,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -248,12 +248,8 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     )
 
 
-#: Pairs per vectorized pass of ``_run_batch``; bounds its temporaries.
-_BATCH_CHUNK = 2048
-
-
 class _BatchColumns(NamedTuple):
-    """``SchemeResult``'s scalar fields for a chunk of pairs, as float64
+    """``SchemeResult``'s scalar fields for a batch of pairs, as float64
     arrays in pair order (theta and phi are ``lambda1``'s); the degenerate
     reasons are held as bit codes of ``_REASONS_BY_CODE``."""
 
@@ -271,26 +267,6 @@ class _BatchColumns(NamedTuple):
 
     def degenerate_reasons(self) -> list[tuple[str, ...]]:
         return [_REASONS_BY_CODE[k] for k in self.reason_codes.tolist()]
-
-
-def _run_batch(states, index) -> Iterator[_BatchColumns]:
-    """``run_scheme`` over many pairs of inputs, bit for bit.
-
-    ``states`` is a sequence of ``InputState``; row k of the integer array
-    ``index`` (shape (n, 2)) names pair k, ``(states[index[k, 0]],
-    states[index[k, 1]])``. Pairs are evaluated ``_BATCH_CHUNK`` at a time
-    on ``_Lanes`` (the module docstring gives the rules that keep the
-    bits), and each chunk yields its results, whose ``tolist()`` values
-    equal ``run_scheme``'s fields by ``repr``. Nothing is checked per pair:
-    valid inputs pass every check of the scalar path (module docstring).
-    """
-    amps = np.array([(s.alpha, s.beta) for s in states], dtype=complex).reshape(-1, 2)
-    parts = amps.view(float).T.copy()
-    for start in range(0, len(index), _BATCH_CHUNK):
-        rows = index[start : start + _BATCH_CHUNK]
-        with np.errstate(all="ignore"):
-            columns = _batch_chunk(parts[:, rows[:, 0]], parts[:, rows[:, 1]])
-        yield columns
 
 
 class _LaneRules:
@@ -318,16 +294,23 @@ def _per_element(fn, *args: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
 
-def _batch_chunk(first, second):
-    """One vectorized pass of ``run_scheme``: ``first`` and ``second`` hold
-    each pair's (alpha.real, alpha.imag, beta.real, beta.imag) as rows.
-    Returns the result columns ``_run_batch`` yields."""
-    inputs = [_Lanes(x[k], x[k + 1]) for x in (first, second) for k in (0, 2)]
-    theta, phi, vacuous = _solve_cancellation_lanes(*inputs)
-    _, p1, amps = _stage_one(_LaneRules, *inputs, _LaneRules.splitter(theta, phi))
-    _, p2, amps = _stage_two(_LaneRules, amps)
-    codes = _reason_code(*inputs, vacuous)
-    return _BatchColumns(theta, phi, p1, p2, p1 * p2, _fidelity(amps), codes)
+def _run_batch(alpha1, beta1, alpha2, beta2) -> _BatchColumns:
+    """``run_scheme`` over many pairs of inputs, bit for bit, in one
+    vectorized pass: pair k's inputs have the amplitudes ``(alpha1[k],
+    beta1[k])`` and ``(alpha2[k], beta2[k])``, complex arrays taken from
+    valid ``InputState``s. Runs on ``_Lanes`` (the module docstring gives
+    the rules that keep the bits); the returned columns' ``tolist()``
+    values equal ``run_scheme``'s fields by ``repr``. Nothing is checked
+    per pair: valid inputs pass every check of the scalar path (module
+    docstring). The caller bounds the temporaries by the pairs it passes.
+    """
+    inputs = [_Lanes(z.real, z.imag) for z in (alpha1, beta1, alpha2, beta2)]
+    with np.errstate(all="ignore"):
+        theta, phi, vacuous = _solve_cancellation_lanes(*inputs)
+        _, p1, amps = _stage_one(_LaneRules, *inputs, _LaneRules.splitter(theta, phi))
+        _, p2, amps = _stage_two(_LaneRules, amps)
+        codes = _reason_code(*inputs, vacuous)
+        return _BatchColumns(theta, phi, p1, p2, p1 * p2, _fidelity(amps), codes)
 
 
 def _solve_cancellation_lanes(alpha1, beta1, alpha2, beta2):

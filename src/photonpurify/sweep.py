@@ -6,14 +6,15 @@ grid to identical inputs, iterating (p1, phase1) and copying them to the
 second input; that is how the closed-form success curve is traced.
 
 One private walk, ``_walk``, is the only place that decides the grid
-order and the diagonal. It builds each input once per (p, phase) pair of
-its own side's axes, not once per grid point, and the diagonal pairs
-each input with itself. The pairs go to ``scheme._run_batch``, which
-evaluates them in fixed-size chunks on numpy arrays and gives every
-field the bits ``run_scheme`` gives it (see ``scheme`` for the rules
-that keep them). For each chunk the walk yields its columns in the one
-row layout, ``_ROW_FIELDS``, with each point's axis values picked by the
-positions of its two inputs.
+order, the diagonal and the chunks. It builds each input once per
+(p, phase) pair of its own side's axes, not once per grid point, and the
+diagonal pairs each input with itself. It cuts the grid into chunks of
+``_BATCH_CHUNK`` points and hands each chunk's input amplitudes to one
+``scheme._run_batch`` call, which evaluates them on numpy arrays and
+gives every field the bits ``run_scheme`` gives it (see ``scheme`` for
+the rules that keep them). For each chunk the walk yields its columns in
+the one row layout, ``_ROW_FIELDS``, with each point's axis values
+picked by the same positions of its two inputs.
 
 ``sweep_csv`` formats those columns straight into CSV lines, chunk by
 chunk, and builds no row dicts. It is the package's one CSV writer:
@@ -169,18 +170,22 @@ def run_point(p1: float, p2: float, phase1: float, phase2: float) -> SchemeResul
     )
 
 
+#: Points per ``scheme._run_batch`` call; bounds the batch's temporaries.
+_BATCH_CHUNK = 2048
+
+
 def _walk(cfg: SweepConfig, axis: Callable[[list[float]], list]) -> Iterator[tuple[list, list]]:
-    """The grid's rows in grid order, chunk by chunk as ``_run_batch``
-    yields them: per chunk, (the p1, p2, phase1 and phase2 columns, the
-    theta, phi, p_success, fidelity and degenerate columns) as lists, in
+    """The grid's rows in grid order, ``_BATCH_CHUNK`` points at a time:
+    per chunk, (the p1, p2, phase1 and phase2 columns, the theta, phi,
+    p_success, fidelity and degenerate columns) as lists, in
     ``_ROW_FIELDS`` order, each result bit-identical to ``run_point``'s.
 
     Each side's inputs are built once per (p, phase) pair of its own axes,
     p-major, side 1's first, and a grid point names its two inputs by
     their positions in that order; on the diagonal input 2 is input 1.
-    The axis columns are picked by those positions from ``axis`` of the
-    inputs' p values and of their phases: the values themselves, or their
-    cells.
+    Per chunk those positions pick both the inputs' amplitudes for one
+    ``_run_batch`` call and the axis columns, from ``axis`` of the inputs'
+    p values and of their phases: the values themselves, or their cells.
     """
     p1s, h1s = cfg.p1.points(), cfg.phase1.points()
     p, phase = [x for x in p1s for _ in h1s], list(h1s) * len(p1s)
@@ -195,13 +200,13 @@ def _walk(cfg: SweepConfig, axis: Callable[[list[float]], list]) -> Iterator[tup
         del i1, i2, j1, j2
         p += [x for x in p2s for _ in h2s]
         phase += list(h2s) * len(p2s)
-    states = list(map(input_from_probability, p, phase))
+    states = map(input_from_probability, p, phase)
+    alpha, beta = np.array([(s.alpha, s.beta) for s in states], dtype=complex).T
     # Rebinding frees the float lists: a diagonal holds one input per point.
     p, phase = (np.array(axis(values), dtype=object) for values in (p, phase))
-    done = 0
-    for res in _run_batch(states, index):
-        i, j = index[done : done + len(res.theta)].T
-        done += len(res.theta)
+    for start in range(0, len(index), _BATCH_CHUNK):
+        i, j = index[start : start + _BATCH_CHUNK].T
+        res = _run_batch(alpha[i], beta[i], alpha[j], beta[j])
         results = (res.theta, res.phi, res.p_success, res.output_fidelity, res.degenerate)
         yield [c.tolist() for c in (p[i], p[j], phase[i], phase[j])], [c.tolist() for c in results]
 

@@ -52,8 +52,8 @@ def assert_same(got: list[str], want: list):
 
 @pytest.fixture(autouse=True)
 def quiet_numpy():
-    # _run_batch runs its lanes under the same errstate: Python's complex
-    # arithmetic never warns.
+    # Each _run_batch call runs its lanes under the same errstate: Python's
+    # complex arithmetic never warns.
     with np.errstate(all="ignore"):
         yield
 

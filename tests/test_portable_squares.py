@@ -61,7 +61,7 @@ def test_one_pair_batch():
     # With vacuum second, stage 1 keeps only the first input's |0>
     # amplitude, B, so its probability is B^2.
     states = [InputState(B, A), InputState(1.0, 0.0)]
-    (columns,) = _run_batch(states, np.array([[0, 1]]))
+    columns = _run_batch(*(np.array([z], dtype=complex) for s in states for z in (s.alpha, s.beta)))
     assert columns.stage_one_probability.tolist() == [B * B]
     assert run_scheme(*states).stage_one_probability == B * B
 

@@ -260,16 +260,17 @@ def test_scalar_unitarity_check_rejects_what_the_numpy_check_rejects(m):
 
 # The sweep's batch (``scheme._run_batch``) against ``run_scheme``, field
 # by field: the golden pin's pairs, the smallest probabilities, signed zero
-# phases and a large seeded set, which spans many batch chunks.
+# phases and a large seeded set, all in one call.
 
 
 def batch_values(states, index) -> list[tuple]:
-    # _run_batch's fields per pair, in scalar_fields' order.
-    got = []
-    for chunk in scheme._run_batch(states, index):
-        values = [column.tolist() for column in chunk[:6]] + [chunk.degenerate.tolist(), chunk.degenerate_reasons()]
-        got += zip(*values)
-    return got
+    # One _run_batch call on the amplitudes of the pairs ``index`` names:
+    # its fields per pair, in scalar_fields' order.
+    alpha, beta = np.array([(s.alpha, s.beta) for s in states], dtype=complex).T
+    i, j = index.T
+    columns = scheme._run_batch(alpha[i], beta[i], alpha[j], beta[j])
+    values = [column.tolist() for column in columns[:6]] + [columns.degenerate.tolist(), columns.degenerate_reasons()]
+    return list(zip(*values))
 
 
 def batch_and_scalar(pairs):
@@ -304,7 +305,7 @@ def test_batch_matches_run_scheme_field_by_field():
     pairs += [(p1, p2, h1, h2) for p1 in tiny for p2 in tiny for h1 in phases for h2 in phases]
     pairs += edge_pairs(random.Random(14), 40_000)
     got, want = batch_and_scalar(pairs)
-    assert len(got) == len(want) == len(pairs) > 10 * scheme._BATCH_CHUNK
+    assert len(got) == len(want) == len(pairs) > 20_000
     mismatches = {name: 0 for name in BATCH_FIELDS}
     for pair, values, result in zip(pairs, got, want):
         for name, value, expected in zip(BATCH_FIELDS, values, scalar_fields(result)):

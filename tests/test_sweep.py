@@ -122,6 +122,18 @@ class TestEquivalence:
 
 
 
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_chunk_size_is_invisible(monkeypatch, name):
+    # Chunks of 7 points end inside every sweep's runs of phases and of
+    # p; only the phase grid spans more than one chunk of the default size.
+    monkeypatch.setattr(sweep, "_BATCH_CHUNK", 7)
+    cfg = SWEEPS[name]
+    rows = reference_rows(cfg)
+    # Compared as lists, so that a failure names the first differing line.
+    assert [repr(row) for row in sweep_rows(cfg)] == [repr(row) for row in rows]
+    assert sweep_csv(cfg).split("\n") == reference_csv(rows).split("\n")
+
+
 @pytest.mark.parametrize("name, builds", [("phase-grid", 168), ("diagonal", 205), ("default", 22)])
 def test_each_input_is_built_once(monkeypatch, name, builds):
     calls = []
