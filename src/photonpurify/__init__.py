@@ -60,7 +60,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "10.0.1"
+__version__ = "10.0.2"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"

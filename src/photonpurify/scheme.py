@@ -61,8 +61,13 @@ every amplitude stays finite and at most about 2 in modulus, and the
 solved splitter's angles lie in ``BeamSplitterParams``' ranges. Neither
 path checks the splitter's unitarity, which its formula keeps to a few
 ulp (see ``optics``).
-Every constant is read from its owning module when it is used. A single
-pair stays on the scalar path, which costs far less than a batch.
+Every constant is read from its owning module when it is used.
+``run_scheme`` serves ``run``'s table and JSON reports, ``verify``'s
+dominance check and the Python API; every sweep, ``run --format csv`` (a
+one-point sweep) and ``verify``'s purity grid take ``_run_batch``, whose
+fixed numpy cost a single pair pays in full: 0.4-0.7 ms per in-process
+``run --format csv`` call against 0.02-0.08 ms for the table and JSON
+reports (Python 3.11, numpy 2.4, Xeon).
 """
 
 from __future__ import annotations
@@ -249,24 +254,14 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
 
 
 class _BatchColumns(NamedTuple):
-    """``SchemeResult``'s scalar fields for a batch of pairs, as float64
-    arrays in pair order (theta and phi are ``lambda1``'s); the degenerate
-    reasons are held as bit codes of ``_REASONS_BY_CODE``."""
+    """The five ``SchemeResult`` fields a sweep prints, for a batch of
+    pairs, as arrays in pair order (theta and phi are ``lambda1``'s)."""
 
     theta: np.ndarray
     phi: np.ndarray
-    stage_one_probability: np.ndarray
-    stage_two_probability: np.ndarray
     p_success: np.ndarray
     output_fidelity: np.ndarray
-    reason_codes: np.ndarray
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.reason_codes != 0
-
-    def degenerate_reasons(self) -> list[tuple[str, ...]]:
-        return [_REASONS_BY_CODE[k] for k in self.reason_codes.tolist()]
+    degenerate: np.ndarray
 
 
 class _LaneRules:
@@ -309,8 +304,7 @@ def _run_batch(alpha1, beta1, alpha2, beta2) -> _BatchColumns:
         theta, phi, vacuous = _solve_cancellation_lanes(*inputs)
         _, p1, amps = _stage_one(_LaneRules, *inputs, _LaneRules.splitter(theta, phi))
         _, p2, amps = _stage_two(_LaneRules, amps)
-        codes = _reason_code(*inputs, vacuous)
-        return _BatchColumns(theta, phi, p1, p2, p1 * p2, _fidelity(amps), codes)
+        return _BatchColumns(theta, phi, p1 * p2, _fidelity(amps), _reason_code(*inputs, vacuous) != 0)
 
 
 def _solve_cancellation_lanes(alpha1, beta1, alpha2, beta2):

@@ -182,7 +182,7 @@ def check_purity_grid() -> CheckResult:
     reads its fidelity and degenerate columns and builds no rows. The
     acceptance suite sweeps the full grid.
     """
-    # Imported here: sweep (with json) adds about 7 ms to every
+    # Imported here: sweep adds about 4-7 ms to every
     # ``import photonpurify``, and no other check needs it.
     from .sweep import RangeSpec, SweepConfig, _walk
 

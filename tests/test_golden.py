@@ -6,10 +6,13 @@ build against the bytes recorded before any refactor or optimisation, so
 a change that drifts a single last digit of any row fails here.
 """
 
+import ast
 import hashlib
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +83,32 @@ def test_phase_grid_sweep_bytes(tmp_path):
 
 def test_phase_grid_sweep_json_bytes(tmp_path):
     assert sweep_sha256(tmp_path, PHASE_GRID, "json") == PHASE_GRID_JSON_SHA256
+
+
+def test_every_copy_of_the_sweep_pins_agrees():
+    # CI's installed-script step and perfbench's workloads pin the same
+    # sweeps; a re-pin here must move each copy, which this reads only.
+    root = Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    ci = {
+        "json" if "--format json" in args else "csv": digest
+        for args, digest in re.findall(r"photon-purify sweep([^|]*)\|.*= ([0-9a-f]{64})", workflow)
+    }
+    assert ci == DEFAULT_SWEEP_SHA256
+    module = ast.parse((root / "perfbench" / "workloads.py").read_text())
+    values = {
+        node.targets[0].id: node.value
+        for node in module.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    pins = {name: ast.literal_eval(values[name]) for name in values if name.endswith("_SHA256")}
+    assert pins == {
+        "DEFAULT_SWEEP_CSV_SHA256": DEFAULT_SWEEP_SHA256["csv"],
+        "DEFAULT_SWEEP_JSON_SHA256": DEFAULT_SWEEP_SHA256["json"],
+        "GRID_CSV_SHA256": PHASE_GRID_CSV_SHA256,
+    }
+    # GRID_CSV_SHA256 pins perfbench's GRID, which must be PHASE_GRID.
+    assert eval(compile(ast.Expression(values["GRID"]), "workloads.py", "eval"), {"math": math}) == PHASE_GRID
 
 
 def test_diagonal_sweep_bytes(tmp_path):

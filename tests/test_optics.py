@@ -114,6 +114,10 @@ class TestInterferometerUnitary:
     def test_dim(self):
         assert random_unitary(np.random.default_rng(0), 3).dim == 3
 
+    def test_repr_names_the_dimension(self):
+        assert repr(random_unitary(np.random.default_rng(0), 3)) == "InterferometerUnitary(dim=3)"
+        assert repr(beamsplitter(BeamSplitterParams(0.3, 0.0))) == "InterferometerUnitary(dim=2)"
+
 
 class TestPermanent:
     def test_empty_is_one(self):

@@ -24,9 +24,8 @@ from photonpurify import (
     outcome_distribution,
     run_scheme,
 )
-from photonpurify.fock import _squared_norm
+from photonpurify.fock import _normalized, _squared_norm
 from photonpurify.optics import _Lanes
-from photonpurify.scheme import _run_batch
 
 B = 0.37796883434360806
 A = math.sqrt(1.0 - B * B)
@@ -59,11 +58,13 @@ def test_closed_form_success():
 
 def test_one_pair_batch():
     # With vacuum second, stage 1 keeps only the first input's |0>
-    # amplitude, B, so its probability is B^2.
+    # amplitude, B, so its probability is B^2. The batch normalizes its
+    # lanes as here (numpy's sqrt, the lanes' prune), squaring with one
+    # multiply.
     states = [InputState(B, A), InputState(1.0, 0.0)]
-    columns = _run_batch(*(np.array([z], dtype=complex) for s in states for z in (s.alpha, s.beta)))
-    assert columns.stage_one_probability.tolist() == [B * B]
     assert run_scheme(*states).stage_one_probability == B * B
+    _, n2, _ = _normalized([_Lanes(np.array([B]), np.array([0.0]))], _Lanes.where, np.sqrt)
+    assert n2.tolist() == [B * B]
 
 
 def test_finite_squares_may_sum_to_inf():

@@ -265,12 +265,11 @@ def test_scalar_unitarity_check_rejects_what_the_numpy_check_rejects(m):
 
 def batch_values(states, index) -> list[tuple]:
     # One _run_batch call on the amplitudes of the pairs ``index`` names:
-    # its fields per pair, in scalar_fields' order.
+    # its five columns per pair, in scalar_fields' order.
     alpha, beta = np.array([(s.alpha, s.beta) for s in states], dtype=complex).T
     i, j = index.T
     columns = scheme._run_batch(alpha[i], beta[i], alpha[j], beta[j])
-    values = [column.tolist() for column in columns[:6]] + [columns.degenerate.tolist(), columns.degenerate_reasons()]
-    return list(zip(*values))
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def batch_and_scalar(pairs):
@@ -280,16 +279,7 @@ def batch_and_scalar(pairs):
     return batch_values(states, index), want
 
 
-BATCH_FIELDS = (
-    "theta",
-    "phi",
-    "stage_one_probability",
-    "stage_two_probability",
-    "p_success",
-    "output_fidelity",
-    "degenerate",
-    "degenerate_reasons",
-)
+BATCH_FIELDS = ("theta", "phi", "p_success", "output_fidelity", "degenerate")
 
 
 def scalar_fields(result: SchemeResult) -> tuple:
@@ -312,14 +302,14 @@ def test_batch_matches_run_scheme_field_by_field():
             assert type(value) is type(expected), (name, pair)
             mismatches[name] += repr(value) != repr(expected)
     assert mismatches == {name: 0 for name in BATCH_FIELDS}
-    # The set reaches every branch: each reason, and pairs with and
-    # without a herald.
-    assert {r for values in got for r in values[-1]} == {
+    # The set reaches every branch: each of run_scheme's reasons for the
+    # same pairs, and pairs with and without a herald.
+    assert {r for result in want for r in result.degenerate_reasons} == {
         NO_PHOTON_PAIR,
         NO_VACUUM_AMPLITUDE,
         CANCELLATION_VACUOUS,
     }
-    assert {values[5] == 0.0 for values in got} == {True, False}
+    assert {values[3] == 0.0 for values in got} == {True, False}
 
 
 def test_heralded_output_has_unit_norm():

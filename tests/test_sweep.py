@@ -76,6 +76,16 @@ def reference_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_lines(got: list[str], want: list[str]):
+    # Line by line, as strict as comparing the whole texts, but a failure
+    # names the first differing line instead of diffing megabytes.
+    differing = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    if differing:
+        k = differing[0]
+        pytest.fail(f"{len(differing)} of {len(want)} lines differ; first, line {k}: {got[k]} != {want[k]}")
+    assert len(got) == len(want)
+
+
 @pytest.fixture(scope="module", params=sorted(SWEEPS))
 def sweep_case(request):
     cfg = SWEEPS[request.param]
@@ -84,16 +94,8 @@ def sweep_case(request):
 
 class TestEquivalence:
     def test_rows_equal_per_point_evaluation(self, sweep_case):
-        # Row by row, as strict as comparing repr(rows) whole, but a failure
-        # names the first differing row instead of diffing megabytes.
         cfg, rows = sweep_case
-        got = [repr(row) for row in rows]
-        want = [repr(row) for row in reference_rows(cfg)]
-        assert len(got) == len(want)
-        differing = [k for k, (a, b) in enumerate(zip(got, want)) if a != b]
-        if differing:
-            k = differing[0]
-            pytest.fail(f"{len(differing)} of {len(want)} rows differ; first, row {k}: {got[k]} != {want[k]}")
+        assert_same_lines([repr(row) for row in rows], [repr(row) for row in reference_rows(cfg)])
 
     def test_csv_equals_per_cell_formula(self, sweep_case):
         # ``run --format csv`` at about 100 points of the grid, its last
@@ -107,13 +109,14 @@ class TestEquivalence:
 
     def test_columnar_csv_equals_per_cell_formula(self, sweep_case):
         cfg, _ = sweep_case
-        assert sweep_csv(cfg) == reference_csv(reference_rows(cfg))
+        assert_same_lines(sweep_csv(cfg).split("\n"), reference_csv(reference_rows(cfg)).split("\n"))
 
     def test_json_equals_json_dumps(self, sweep_case):
         # A JSON sweep is json.dumps of the per-point reference rows.
         cfg, _ = sweep_case
         want = json.dumps(reference_rows(cfg), indent=2) + "\n"
-        assert cli.cmd_sweep(dataclasses.replace(cfg, output_format="json")) == want
+        got = cli.cmd_sweep(dataclasses.replace(cfg, output_format="json"))
+        assert_same_lines(got.split("\n"), want.split("\n"))
 
     def test_signed_zero_phases_reach_rows(self):
         rows = sweep_rows(SWEEPS["signed-phases"])
@@ -129,9 +132,8 @@ def test_chunk_size_is_invisible(monkeypatch, name):
     monkeypatch.setattr(sweep, "_BATCH_CHUNK", 7)
     cfg = SWEEPS[name]
     rows = reference_rows(cfg)
-    # Compared as lists, so that a failure names the first differing line.
-    assert [repr(row) for row in sweep_rows(cfg)] == [repr(row) for row in rows]
-    assert sweep_csv(cfg).split("\n") == reference_csv(rows).split("\n")
+    assert_same_lines([repr(row) for row in sweep_rows(cfg)], [repr(row) for row in rows])
+    assert_same_lines(sweep_csv(cfg).split("\n"), reference_csv(rows).split("\n"))
 
 
 @pytest.mark.parametrize("name, builds", [("phase-grid", 168), ("diagonal", 205), ("default", 22)])
