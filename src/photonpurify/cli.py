@@ -13,21 +13,15 @@ import sys
 
 from . import __version__
 from .errors import ConfigInvalid, OutOfRange
-from .sweep import (
-    OUTPUT_FORMATS,
-    SWEEP_FORMATS,
-    RangeSpec,
-    RunConfig,
-    SweepConfig,
-    fixed,
-    run_point,
-    sweep_csv,
-    sweep_rows,
-)
+from .sweep import RangeSpec, SweepConfig, fixed, grid_points, run_point, sweep_csv, sweep_rows
 from .svgplot import success_comparison_svg
 from .verify import CheckResult, run_checks
 
 DEFAULT_TRIALS = 100
+
+#: Output formats of ``run`` and of ``sweep``, each command's default first.
+OUTPUT_FORMATS = ("table", "csv", "json")
+SWEEP_FORMATS = ("csv", "json")
 
 _RUN_KEYS = {"input1", "input2", "format"}
 _SWEEP_KEYS = {"p1", "p2", "phase1", "phase2", "diagonal", "format", "out", "plot"}
@@ -69,17 +63,36 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phase2", type=float, default=None)
 
 
+def _open(path: str, mode: str, **kwargs):
+    """``open`` as UTF-8 text. ``open`` refuses a path with a NUL byte, or
+    one that cannot be encoded, with a ``ValueError``; that is an I/O
+    error, as a missing directory is."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except ValueError as exc:
+        raise OSError(f"cannot open {path!r}: {exc}") from exc
+
+
 def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
+    with _open(path, "r") as f:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
         # the error for an integer literal past int's digit limit.
         try:
             data = json.load(f)
         except (ValueError, RecursionError) as exc:
-            raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
+            raise ConfigInvalid(f"{path!r}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise ConfigInvalid(f"{path}: top level must be a JSON object")
+        raise ConfigInvalid(f"{path!r}: top level must be a JSON object")
     return data
+
+
+def _format(args, data: dict, formats: tuple[str, ...]) -> str:
+    """The --format flag, else the config's format, else the command's
+    default; argparse has already checked the flag."""
+    value = args.format if args.format is not None else data.get("format", formats[0])
+    if value not in formats:
+        raise ConfigInvalid(f"format must be one of {', '.join(formats)}, got {value!r}")
+    return value
 
 
 def _number(value, name: str) -> float:
@@ -105,7 +118,8 @@ def _input_section(data: dict, name: str) -> dict:
     return section
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args) -> tuple[SweepConfig, str]:
+    """The one-point grid of the run's inputs, and the run's format."""
     data = _load_json(args.config) if args.config else {}
     _check_keys(data, _RUN_KEYS, "run config")
     in1 = _input_section(data, "input1")
@@ -124,8 +138,8 @@ def _run_config(args) -> RunConfig:
         raise ConfigInvalid("p1 and p2 are required (flag or config file)")
     phase1 = pick(args.phase1, in1, "phase", 0.0)
     phase2 = pick(args.phase2, in2, "phase", 0.0)
-    out_format = args.format if args.format is not None else data.get("format", "table")
-    return RunConfig(p1, p2, phase1, phase2, out_format)
+    config = SweepConfig(*map(fixed, (p1, p2, phase1, phase2)))
+    return config, _format(args, data, OUTPUT_FORMATS)
 
 
 def _range_spec(data: dict, name: str, override: float | None, default: RangeSpec) -> RangeSpec:
@@ -147,43 +161,38 @@ def _range_spec(data: dict, name: str, override: float | None, default: RangeSpe
                      _number(obj["stop"], f"{name}.stop"), steps)
 
 
-def _sweep_config(args) -> SweepConfig:
+def _sweep_config(args) -> tuple[SweepConfig, str, str | None, str | None]:
+    """The sweep's grid, its format, and its output and plot paths."""
     data = _load_json(args.config) if args.config else {}
     _check_keys(data, _SWEEP_KEYS, "sweep config")
     default_p = RangeSpec(0.0, 1.0, 11)
     diagonal = data.get("diagonal", False)
     if not isinstance(diagonal, bool):
         raise ConfigInvalid(f"diagonal must be true or false, got {diagonal!r}")
-    out_format = args.format if args.format is not None else data.get("format", "csv")
     out = args.out if args.out is not None else data.get("out")
     plot = args.plot if args.plot is not None else data.get("plot")
     for name, value in (("out", out), ("plot", plot)):
         if value is not None and not isinstance(value, str):
             raise ConfigInvalid(f"{name} must be a path string, got {value!r}")
-    return SweepConfig(
+    config = SweepConfig(
         p1=_range_spec(data, "p1", args.p1, default_p),
         p2=_range_spec(data, "p2", args.p2, default_p),
         phase1=_range_spec(data, "phase1", args.phase1, fixed(0.0)),
         phase2=_range_spec(data, "phase2", args.phase2, fixed(0.0)),
         diagonal=diagonal,
-        output_format=out_format,
-        out=out,
-        plot=plot,
     )
+    return config, _format(args, data, SWEEP_FORMATS), out, plot
 
 
-def cmd_run(config: RunConfig) -> str:
-    """Evaluate one input pair and render the report. The CSV report is
-    the one-point sweep of the pair."""
-    if config.output_format == "csv":
-        point = (config.p1, config.p2, config.phase1, config.phase2)
-        return sweep_csv(SweepConfig(*map(fixed, point)))
-    result = run_point(config.p1, config.p2, config.phase1, config.phase2)
+def cmd_run(config: SweepConfig, output_format: str) -> str:
+    """Evaluate the one point of ``config`` and render the report. The CSV
+    report is the one-point sweep."""
+    if output_format == "csv":
+        return sweep_csv(config)
+    (point,) = grid_points(config)
+    result = run_point(*point)
     fields = [
-        ("p1", config.p1),
-        ("p2", config.p2),
-        ("phase1", config.phase1),
-        ("phase2", config.phase2),
+        *zip(("p1", "p2", "phase1", "phase2"), point),
         ("theta", result.lambda1.theta),
         ("phi", result.lambda1.phi),
         ("theta2", result.lambda2.theta),
@@ -193,7 +202,7 @@ def cmd_run(config: RunConfig) -> str:
         ("p_success", result.p_success),
         ("fidelity", result.output_fidelity),
     ]
-    if config.output_format == "json":
+    if output_format == "json":
         payload = dict(fields)
         payload["degenerate"] = result.degenerate
         payload["degenerate_reasons"] = list(result.degenerate_reasons)
@@ -206,9 +215,9 @@ def cmd_run(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(config: SweepConfig) -> str:
-    """Evaluate the grid and render rows in the configured format."""
-    if config.output_format == "json":
+def cmd_sweep(config: SweepConfig, output_format: str = "csv") -> str:
+    """Evaluate the grid and render its rows in ``output_format``."""
+    if output_format == "json":
         return json.dumps(sweep_rows(config), indent=2) + "\n"
     return sweep_csv(config)
 
@@ -234,7 +243,7 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _open(path, "w", newline="") as f:
         f.write(text)
 
 
@@ -246,13 +255,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.command == "run":
-            _emit(cmd_run(_run_config(args)), args.out)
+            config, output_format = _run_config(args)
+            _emit(cmd_run(config, output_format), args.out)
             return 0
         if args.command == "sweep":
-            config = _sweep_config(args)
-            _emit(cmd_sweep(config), config.out)
-            if config.plot is not None:
-                _emit(success_comparison_svg(), config.plot)
+            config, output_format, out, plot = _sweep_config(args)
+            _emit(cmd_sweep(config, output_format), out)
+            if plot is not None:
+                _emit(success_comparison_svg(), plot)
             return 0
         report, ok = cmd_verify(args.seed, args.trials)
         sys.stdout.write(report)

@@ -4,6 +4,10 @@ Grid semantics: four ranges (p1, p2, phase1, phase2) walked in row-major
 order with p1 outermost and phase2 innermost. ``diagonal`` collapses the
 grid to identical inputs, iterating (p1, phase1) and copying them to the
 second input; that is how the closed-form success curve is traced.
+``SweepConfig`` holds exactly those ranges and the diagonal flag. It is
+the one description of what to evaluate: ``sweep`` walks its grid, and
+``run`` evaluates the one point of a grid of ``fixed`` ranges. Output
+formats and paths are the command line's, not the grid's.
 
 One private walk, ``_walk``, is the only place that decides the grid
 order, the diagonal and the chunks. It builds each input once per
@@ -61,11 +65,6 @@ CSV_HEADER = ",".join(_ROW_FIELDS)
 #: 330 MB and runs for about 7 s, a JSON sweep near 2.4 GB and about 30 s.
 MAX_GRID_POINTS = 1_000_000
 
-#: Output formats of ``run`` and of ``sweep``.
-OUTPUT_FORMATS = ("table", "csv", "json")
-SWEEP_FORMATS = ("csv", "json")
-
-
 @dataclass(frozen=True)
 class RangeSpec:
     """Inclusive linear range with a fixed point count."""
@@ -102,48 +101,21 @@ def fixed(value: float) -> RangeSpec:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One scheme evaluation: two inputs and the output format."""
-
-    p1: float
-    p2: float
-    phase1: float = 0.0
-    phase2: float = 0.0
-    output_format: str = "table"
-
-    def __post_init__(self):
-        for name in ("p1", "p2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigInvalid(f"{name} must lie in [0, 1], got {v!r}")
-        for name in ("phase1", "phase2"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ConfigInvalid(f"{name} must be finite, got {v!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigInvalid(f"unknown format {self.output_format!r}")
-
-
-@dataclass(frozen=True)
 class SweepConfig:
-    """Grid over input parameters plus output destinations."""
+    """Grid over input parameters: what ``sweep`` walks, and, as one
+    point, what ``run`` evaluates."""
 
     p1: RangeSpec
     p2: RangeSpec
     phase1: RangeSpec = field(default_factory=lambda: fixed(0.0))
     phase2: RangeSpec = field(default_factory=lambda: fixed(0.0))
     diagonal: bool = False
-    output_format: str = "csv"
-    out: str | None = None
-    plot: str | None = None
 
     def __post_init__(self):
         for name in ("p1", "p2"):
             r = getattr(self, name)
             if not (0.0 <= r.start and r.stop <= 1.0):
                 raise ConfigInvalid(f"{name} range [{r.start}, {r.stop}] leaves [0, 1]")
-        if self.output_format not in SWEEP_FORMATS:
-            raise ConfigInvalid(f"sweep format must be csv or json, got {self.output_format!r}")
         walked = [self.p1, self.phase1] + ([] if self.diagonal else [self.p2, self.phase2])
         points = math.prod(r.steps for r in walked)
         if points > MAX_GRID_POINTS:
@@ -152,8 +124,8 @@ class SweepConfig:
 
 def grid_points(cfg: SweepConfig) -> Iterator[tuple[float, float, float, float]]:
     """Row-major grid order, written out point by point: the reference
-    that the tests hold ``_walk``'s order to. The diagonal copies input 1
-    onto input 2."""
+    that the tests hold ``_walk``'s order to, and how ``run`` reads its
+    one point. The diagonal copies input 1 onto input 2."""
     if cfg.diagonal:
         for p, ph in itertools.product(cfg.p1.points(), cfg.phase1.points()):
             yield p, p, ph, ph

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, and the
 names of the removed second route through the scheme (a copy of stage 1
-and a stand-alone stage 2 with its own purity gate) stay gone. Also no
+and a stand-alone stage 2 with its own purity gate) and of the removed
+second config type of ``run`` stay gone. Also no
 source or test file imports a name it never reads, and every private
 module-level name of the package is read by some source module."""
 
@@ -9,11 +10,14 @@ import re
 from pathlib import Path
 
 import photonpurify
-from photonpurify import errors, scheme
+from photonpurify import errors, scheme, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-REMOVED = {"StageOneCoefficients", "stage_one_coefficients", "stage_two", "PurityViolated", "CANCEL_TOL"}
+REMOVED = {
+    "StageOneCoefficients", "stage_one_coefficients", "stage_two", "PurityViolated", "CANCEL_TOL",
+    "RunConfig",
+}
 
 
 def test_every_exported_name_resolves():
@@ -24,7 +28,7 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_stay_gone():
-    for module in (photonpurify, scheme, errors):
+    for module in (photonpurify, scheme, errors, sweep):
         assert not REMOVED & set(vars(module)), module.__name__
     assert not REMOVED & set(re.findall(r"\w+", README.read_text()))
 

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonpurify import AmplitudeOverflow, __version__, cli
 from photonpurify.cli import main
@@ -252,6 +257,15 @@ class TestSweep:
         assert svg.count("<polyline") == 2
         assert "</svg>" in svg
 
+    def test_plot_failure_follows_complete_output(self, capsys, tmp_path):
+        # The rows are written before the plot, so exit 3 can follow the
+        # whole sweep on stdout when only the plot path fails.
+        missing = tmp_path / "missing" / "x.svg"
+        code, out, err = run_cli(capsys, "sweep", "--p1", "0.5", "--plot", str(missing))
+        assert code == 3
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert out == run_cli(capsys, "sweep", "--p1", "0.5")[1]
+
     def test_incomplete_range_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"p1": {"start": 0.0, "stop": 1.0}}))
@@ -367,6 +381,123 @@ def test_undecodable_config_is_config_error(capsys, tmp_path, command, content):
     assert code == 2
     assert "config error" in err
     assert out == ""
+
+
+def test_config_path_is_quoted_on_one_line(capsys, tmp_path):
+    cfg = tmp_path / "a\nb.json"
+    cfg.write_text("not json")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {str(cfg)!r}: not valid JSON")
+    assert err.count("\n") == 1
+
+
+NUL_PATH = "a\x00b"
+
+#: Each way a path reaches ``open``, given a path with a NUL byte, by test
+#: id: (argv, the config file's content or None for no config file).
+NUL_PATHS = {
+    "run-config": (["run", "--config", NUL_PATH], None),
+    "sweep-config": (["sweep", "--config", NUL_PATH], None),
+    "run-out": (["run", "--p1", ".5", "--p2", ".5", "--out", NUL_PATH], None),
+    "sweep-out": (["sweep", "--p1", ".5", "--out", NUL_PATH], None),
+    "sweep-plot": (["sweep", "--p1", ".5", "--plot", NUL_PATH], None),
+    "config-out": (["sweep", "--p1", ".5"], {"out": NUL_PATH}),
+    "config-plot": (["sweep", "--p1", ".5"], {"plot": NUL_PATH}),
+}
+
+
+@pytest.mark.parametrize("argv, config", list(NUL_PATHS.values()), ids=list(NUL_PATHS))
+def test_path_with_nul_byte_is_io_error(capsys, tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == "i/o error: cannot open 'a\\x00b': embedded null byte\n"
+
+
+#: Flag values: the number edges of the example tests, drawn as often
+#: from [0, 1] as from past it.
+UNIT_FLAGS = ("0", "-0.0", "5e-324", "1e-20", "0.5", repr(1 - 7.3e-15), "1")
+EDGE_FLAGS = ("1.5", "-1", repr(math.pi), repr(-math.pi), "1e300", "inf", "-inf", "nan")
+#: Config leaves: the same edges as JSON values, drawn as often from
+#: [0, 1] as from past it, integers past the float range, and values of
+#: the wrong type. Path strings come only from ``PATH_LEAVES``, so no draw
+#: writes outside the test's directory.
+UNIT_LEAVES = (0, 1, 0.0, -0.0, 5e-324, 1e-20, 0.5, 1 - 7.3e-15, 1.0)
+CONFIG_LEAVES = (
+    1.5, -1.0, math.pi, -math.pi, 1e300, -1e308, 1e308, math.inf, -math.inf, math.nan,
+    10**400, True, False, None, [], {},
+)
+#: Paths, under the test's directory: a file name, the directory itself,
+#: a missing parent, a NUL byte, a newline and a lone surrogate.
+PATH_LEAVES = ("out.txt", "", "missing/out.txt", "a\x00b", "a\nb.json", "\ud800")
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def cli_calls(draw, base: str) -> tuple[list[str], object]:
+    """A ``run`` or ``sweep`` argv that argparse accepts, and the content
+    of its config file: a dict to write as JSON, or None for a config path
+    from ``PATH_LEAVES`` or no config at all. Ranges take at most 2 steps,
+    so no sweep walks more than 11 x 11 x 2 x 2 points."""
+    command = draw(st.sampled_from(("run", "sweep")))
+    paths = st.sampled_from([os.path.join(base, leaf) for leaf in PATH_LEAVES])
+    value = st.sampled_from(UNIT_LEAVES) | st.sampled_from(CONFIG_LEAVES)
+    formats = cli.OUTPUT_FORMATS if command == "run" else cli.SWEEP_FORMATS
+    # None, for no flag, is one leaf among the numbers in [0, 1].
+    number = st.sampled_from((None, *UNIT_FLAGS)) | st.sampled_from(EDGE_FLAGS)
+    flags = {f"--{name}": number for name in ("p1", "p2", "phase1", "phase2")}
+    flags["--format"] = optional(st.sampled_from(formats))
+    flags["--out"] = optional(paths)
+    format_value = st.sampled_from(("table", "csv", "json", "xml")) | value
+    if command == "run":
+        side = st.fixed_dictionaries({}, optional={"p": value, "phase": value})
+        keys = {"input1": side | value, "input2": side | value, "format": format_value}
+    else:
+        flags["--plot"] = optional(paths)
+        steps = st.sampled_from((0, 1, 2, 2.0, 10**20))
+        span = st.fixed_dictionaries({}, optional={"start": value, "stop": value, "steps": steps})
+        keys = {name: span | value for name in ("p1", "p2", "phase1", "phase2")}
+        keys.update(diagonal=value, format=format_value, out=paths | value, plot=paths | value)
+    argv = [command]
+    argv += [f"{flag}={v}" for flag, strategy in flags.items() if (v := draw(strategy)) is not None]
+    content = draw(optional(st.fixed_dictionaries({}, optional=keys)))
+    config = os.path.join(base, "config.json") if content is not None else draw(optional(paths))
+    if config is not None:
+        argv.append(f"--config={config}")
+    return argv, content
+
+
+@pytest.fixture(scope="module")
+def call_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("calls"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract(call_dir, data):
+    # Every call exits 0, 2 or 3 without raising; a config error writes
+    # nothing to stdout, and an error writes exactly one stderr line.
+    argv, content = data.draw(cli_calls(call_dir))
+    if content is not None:
+        with open(os.path.join(call_dir, "config.json"), "w", encoding="utf-8") as f:
+            json.dump(content, f)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
 
 
 def test_failed_check_exits_one(capsys, monkeypatch):

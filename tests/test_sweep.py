@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -12,7 +11,6 @@ from photonpurify.sweep import (
     CSV_HEADER,
     MAX_GRID_POINTS,
     RangeSpec,
-    RunConfig,
     SweepConfig,
     fixed,
     fmt,
@@ -104,8 +102,8 @@ class TestEquivalence:
         points, rows = list(grid_points(cfg)), reference_rows(cfg)
         step = max(1, len(points) // 100)
         for k in sorted({*range(0, len(points), step), len(points) - 1}):
-            config = RunConfig(*points[k], output_format="csv")
-            assert cli.cmd_run(config) == reference_csv([rows[k]]), points[k]
+            config = SweepConfig(*map(fixed, points[k]))
+            assert cli.cmd_run(config, "csv") == reference_csv([rows[k]]), points[k]
 
     def test_columnar_csv_equals_per_cell_formula(self, sweep_case):
         cfg, _ = sweep_case
@@ -115,7 +113,7 @@ class TestEquivalence:
         # A JSON sweep is json.dumps of the per-point reference rows.
         cfg, _ = sweep_case
         want = json.dumps(reference_rows(cfg), indent=2) + "\n"
-        got = cli.cmd_sweep(dataclasses.replace(cfg, output_format="json"))
+        got = cli.cmd_sweep(cfg, "json")
         assert_same_lines(got.split("\n"), want.split("\n"))
 
     def test_signed_zero_phases_reach_rows(self):
@@ -188,6 +186,12 @@ def test_memoized_cells_equal_fmt():
         for *cells, flag in zip(*columns, degenerate)
     ]
     assert sweep._csv_block([], columns, degenerate).split("\n") == want
+
+
+def test_fmt_switches_to_scientific_below_1e4():
+    # 1e-4 itself is plain; the next float toward zero is scientific.
+    assert (fmt(1e-4), fmt(-1e-4)) == ("0.0001", "-0.0001")
+    assert fmt(math.nextafter(1e-4, 0.0)) == "1.00000000000e-04"
 
 
 class TestGridCap:
