@@ -6,9 +6,12 @@ and a one-photon detection then herald an exact |1> state. This package
 simulates the circuit on sparse Fock states, solves the cancellation
 splitter Lambda (the second splitter Lambda' is its analytic optimum, a
 fixed 50/50 splitter), sweeps parameter grids deterministically, and
-checks itself against a permanent-free oracle. ``run_scheme`` is the one
-route through the circuit; any other Lambda or Lambda' runs on the generic
-engine (``tensor``, ``apply``, ``condition``) that it matches bit for bit.
+checks itself against a permanent-free oracle. The circuit has two
+routes: ``run_scheme`` for one pair, and the sweep's batch
+(``scheme._run_batch``), which evaluates a chunk of pairs on numpy arrays
+and gives the five fields a sweep prints ``run_scheme``'s bits. Any other
+Lambda or Lambda' runs on the generic engine (``tensor``, ``apply``,
+``condition``), which both routes match bit for bit.
 """
 
 from .errors import (
@@ -60,7 +63,7 @@ from .scheme import (
 )
 from .verify import CheckResult, permanent_naive, run_checks
 
-__version__ = "11.0.0"
+__version__ = "11.0.1"
 
 # The only kernel; kept as a constant because perfbench/run.py records it.
 BACKEND = "python"

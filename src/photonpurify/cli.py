@@ -120,31 +120,39 @@ def _input_section(data: dict, name: str) -> dict:
 
 def _run_config(args) -> tuple[SweepConfig, str]:
     """The one-point grid of the run's inputs, and the run's format."""
-    data = _load_json(args.config) if args.config else {}
+    data = _load_json(args.config) if args.config is not None else {}
     _check_keys(data, _RUN_KEYS, "run config")
-    in1 = _input_section(data, "input1")
-    in2 = _input_section(data, "input2")
+    sections = (_input_section(data, "input1"), _input_section(data, "input2"))
 
-    def pick(flag, section, key, fallback=None):
+    def pick(key, side, fallback=None):
+        # The --{key}{side} flag, else the config's input{side}.{key}, else
+        # ``fallback``: (the value, the name of the flag or key).
+        flag, name = getattr(args, f"{key}{side}"), f"input{side}.{key}"
         if flag is not None:
-            return flag
-        if key in section:
-            return _number(section[key], key)
-        return fallback
+            return flag, f"{key}{side}"
+        section = sections[side - 1]
+        return (_number(section[key], name) if key in section else fallback), name
 
-    p1 = pick(args.p1, in1, "p")
-    p2 = pick(args.p2, in2, "p")
-    if p1 is None or p2 is None:
+    p1, p2 = pick("p", 1), pick("p", 2)
+    if p1[0] is None or p2[0] is None:
         raise ConfigInvalid("p1 and p2 are required (flag or config file)")
-    phase1 = pick(args.phase1, in1, "phase", 0.0)
-    phase2 = pick(args.phase2, in2, "phase", 0.0)
-    config = SweepConfig(*map(fixed, (p1, p2, phase1, phase2)))
+    point = (p1, p2, pick("phase", 1, 0.0), pick("phase", 2, 0.0))
+    config = SweepConfig(*(_range(name, value, value, 1) for value, name in point))
     return config, _format(args, data, OUTPUT_FORMATS)
+
+
+def _range(name: str, start: float, stop: float, steps: int) -> RangeSpec:
+    """``RangeSpec(start, stop, steps)``, whose config error names the flag
+    or key that gave the range."""
+    try:
+        return RangeSpec(start, stop, steps)
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{name}: {exc}") from exc
 
 
 def _range_spec(data: dict, name: str, override: float | None, default: RangeSpec) -> RangeSpec:
     if override is not None:
-        return fixed(override)
+        return _range(name, override, override, 1)
     if name not in data:
         return default
     obj = data[name]
@@ -157,13 +165,12 @@ def _range_spec(data: dict, name: str, override: float | None, default: RangeSpe
     steps = obj["steps"]
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ConfigInvalid(f"{name}.steps must be an integer, got {steps!r}")
-    return RangeSpec(_number(obj["start"], f"{name}.start"),
-                     _number(obj["stop"], f"{name}.stop"), steps)
+    return _range(name, _number(obj["start"], f"{name}.start"), _number(obj["stop"], f"{name}.stop"), steps)
 
 
 def _sweep_config(args) -> tuple[SweepConfig, str, str | None, str | None]:
     """The sweep's grid, its format, and its output and plot paths."""
-    data = _load_json(args.config) if args.config else {}
+    data = _load_json(args.config) if args.config is not None else {}
     _check_keys(data, _SWEEP_KEYS, "sweep config")
     default_p = RangeSpec(0.0, 1.0, 11)
     diagonal = data.get("diagonal", False)

@@ -75,7 +75,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -253,17 +253,6 @@ def run_scheme(in1: InputState, in2: InputState) -> SchemeResult:
     )
 
 
-class _BatchColumns(NamedTuple):
-    """The five ``SchemeResult`` fields a sweep prints, for a batch of
-    pairs, as arrays in pair order (theta and phi are ``lambda1``'s)."""
-
-    theta: np.ndarray
-    phi: np.ndarray
-    p_success: np.ndarray
-    output_fidelity: np.ndarray
-    degenerate: np.ndarray
-
-
 class _LaneRules:
     """The stages' rules on ``_Lanes``: fock's prune decision per lane and
     numpy's sqrt."""
@@ -289,22 +278,25 @@ def _per_element(fn, *args: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
 
-def _run_batch(alpha1, beta1, alpha2, beta2) -> _BatchColumns:
+def _run_batch(alpha1, beta1, alpha2, beta2) -> tuple[np.ndarray, ...]:
     """``run_scheme`` over many pairs of inputs, bit for bit, in one
     vectorized pass: pair k's inputs have the amplitudes ``(alpha1[k],
     beta1[k])`` and ``(alpha2[k], beta2[k])``, complex arrays taken from
-    valid ``InputState``s. Runs on ``_Lanes`` (the module docstring gives
-    the rules that keep the bits); the returned columns' ``tolist()``
-    values equal ``run_scheme``'s fields by ``repr``. Nothing is checked
-    per pair: valid inputs pass every check of the scalar path (module
-    docstring). The caller bounds the temporaries by the pairs it passes.
+    valid ``InputState``s. Returns the five fields a sweep prints, as
+    arrays in pair order and in the order of ``sweep._ROW_FIELDS``' last
+    five: ``lambda1``'s theta and phi, ``p_success``, ``output_fidelity``
+    and ``degenerate``. Runs on ``_Lanes`` (the module docstring gives
+    the rules that keep the bits); each array's ``tolist()`` values equal
+    ``run_scheme``'s fields by ``repr``. Nothing is checked per pair:
+    valid inputs pass every check of the scalar path (module docstring).
+    The caller bounds the temporaries by the pairs it passes.
     """
     inputs = [_Lanes(z.real, z.imag) for z in (alpha1, beta1, alpha2, beta2)]
     with np.errstate(all="ignore"):
         theta, phi, vacuous = _solve_cancellation_lanes(*inputs)
         _, p1, amps = _stage_one(_LaneRules, *inputs, _LaneRules.splitter(theta, phi))
         _, p2, amps = _stage_two(_LaneRules, amps)
-        return _BatchColumns(theta, phi, p1 * p2, _fidelity(amps), _reason_code(*inputs, vacuous) != 0)
+        return theta, phi, p1 * p2, _fidelity(amps), _reason_code(*inputs, vacuous) != 0
 
 
 def _solve_cancellation_lanes(alpha1, beta1, alpha2, beta2):

@@ -148,9 +148,9 @@ _BATCH_CHUNK = 2048
 
 def _walk(cfg: SweepConfig, axis: Callable[[list[float]], list]) -> Iterator[tuple[list, list]]:
     """The grid's rows in grid order, ``_BATCH_CHUNK`` points at a time:
-    per chunk, (the p1, p2, phase1 and phase2 columns, the theta, phi,
-    p_success, fidelity and degenerate columns) as lists, in
-    ``_ROW_FIELDS`` order, each result bit-identical to ``run_point``'s.
+    per chunk, (the four axis columns, the five result columns) as lists,
+    in ``_ROW_FIELDS`` order, each result bit-identical to ``run_point``'s.
+    The result columns are ``_run_batch``'s, in the order it returns them.
 
     Each side's inputs are built once per (p, phase) pair of its own axes,
     p-major, side 1's first, and a grid point names its two inputs by
@@ -178,8 +178,7 @@ def _walk(cfg: SweepConfig, axis: Callable[[list[float]], list]) -> Iterator[tup
     p, phase = (np.array(axis(values), dtype=object) for values in (p, phase))
     for start in range(0, len(index), _BATCH_CHUNK):
         i, j = index[start : start + _BATCH_CHUNK].T
-        res = _run_batch(alpha[i], beta[i], alpha[j], beta[j])
-        results = (res.theta, res.phi, res.p_success, res.output_fidelity, res.degenerate)
+        results = _run_batch(alpha[i], beta[i], alpha[j], beta[j])
         yield [c.tolist() for c in (p[i], p[j], phase[i], phase[j])], [c.tolist() for c in results]
 
 

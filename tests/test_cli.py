@@ -394,28 +394,91 @@ def test_config_path_is_quoted_on_one_line(capsys, tmp_path):
 
 NUL_PATH = "a\x00b"
 
-#: Each way a path reaches ``open``, given a path with a NUL byte, by test
-#: id: (argv, the config file's content or None for no config file).
-NUL_PATHS = {
-    "run-config": (["run", "--config", NUL_PATH], None),
-    "sweep-config": (["sweep", "--config", NUL_PATH], None),
-    "run-out": (["run", "--p1", ".5", "--p2", ".5", "--out", NUL_PATH], None),
-    "sweep-out": (["sweep", "--p1", ".5", "--out", NUL_PATH], None),
-    "sweep-plot": (["sweep", "--p1", ".5", "--plot", NUL_PATH], None),
-    "config-out": (["sweep", "--p1", ".5"], {"out": NUL_PATH}),
-    "config-plot": (["sweep", "--p1", ".5"], {"plot": NUL_PATH}),
-}
+
+def path_entry_points(path: str) -> dict:
+    """Each way a path reaches ``open``, given ``path``, by test id: (argv,
+    the config file's content or None for no config file)."""
+    return {
+        "run-config": (["run", "--config", path], None),
+        "sweep-config": (["sweep", "--config", path], None),
+        "run-out": (["run", "--p1", ".5", "--p2", ".5", "--out", path], None),
+        "sweep-out": (["sweep", "--p1", ".5", "--out", path], None),
+        "sweep-plot": (["sweep", "--p1", ".5", "--plot", path], None),
+        "config-out": (["sweep", "--p1", ".5"], {"out": path}),
+        "config-plot": (["sweep", "--p1", ".5"], {"plot": path}),
+    }
 
 
-@pytest.mark.parametrize("argv, config", list(NUL_PATHS.values()), ids=list(NUL_PATHS))
-def test_path_with_nul_byte_is_io_error(capsys, tmp_path, argv, config):
+def run_with_config(capsys, tmp_path, argv, config):
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = [*argv, "--config", str(cfg)]
-    code, _, err = run_cli(capsys, *argv)
+    return run_cli(capsys, *argv)
+
+
+NUL_PATHS = path_entry_points(NUL_PATH)
+
+
+@pytest.mark.parametrize("argv, config", list(NUL_PATHS.values()), ids=list(NUL_PATHS))
+def test_path_with_nul_byte_is_io_error(capsys, tmp_path, argv, config):
+    code, _, err = run_with_config(capsys, tmp_path, argv, config)
     assert code == 3
     assert err == "i/o error: cannot open 'a\\x00b': embedded null byte\n"
+
+
+EMPTY_PATHS = path_entry_points("")
+
+
+@pytest.mark.parametrize("argv, config", list(EMPTY_PATHS.values()), ids=list(EMPTY_PATHS))
+def test_empty_path_is_io_error(capsys, tmp_path, argv, config):
+    # ``--config ""`` names a file, as ``--out ""`` does: it is not "no config".
+    code, _, err = run_with_config(capsys, tmp_path, argv, config)
+    assert code == 3
+    assert err == "i/o error: [Errno 2] No such file or directory: ''\n"
+
+
+#: One bad range per flag and per config key, and a config number of the
+#: wrong type, by test id: (argv, the config file's content or None, the
+#: stderr line). Between them the ranges reach every message of
+#: ``RangeSpec``.
+NAMED_ERRORS = {
+    "run-p1": (["run", "--p1", "nan", "--p2", ".5"], None, "p1: range start must be finite, got nan"),
+    "run-p2": (["run", "--p1", ".5", "--p2=-inf"], None, "p2: range start must be finite, got -inf"),
+    "run-phase1": (["run", "--p1", ".5", "--p2", ".5", "--phase1", "inf"], None,
+                   "phase1: range start must be finite, got inf"),
+    "run-phase2": (["run", "--p1", ".5", "--p2", ".5", "--phase2", "inf"], None,
+                   "phase2: range start must be finite, got inf"),
+    "sweep-p1": (["sweep", "--p1", "nan"], None, "p1: range start must be finite, got nan"),
+    "sweep-p2": (["sweep", "--p2", "inf"], None, "p2: range start must be finite, got inf"),
+    "sweep-phase1": (["sweep", "--phase1", "inf"], None, "phase1: range start must be finite, got inf"),
+    "sweep-phase2": (["sweep", "--phase2=-inf"], None, "phase2: range start must be finite, got -inf"),
+    "run-input1.p": (["run", "--p2", ".5"], {"input1": {"p": math.nan}},
+                     "input1.p: range start must be finite, got nan"),
+    "run-input2.p": (["run", "--p1", ".5"], {"input2": {"p": -math.inf}},
+                     "input2.p: range start must be finite, got -inf"),
+    "run-input1.phase": (["run", "--p1", ".5", "--p2", ".5"], {"input1": {"phase": math.inf}},
+                         "input1.phase: range start must be finite, got inf"),
+    "run-input2.phase": (["run", "--p1", ".5", "--p2", ".5"], {"input2": {"phase": math.nan}},
+                         "input2.phase: range start must be finite, got nan"),
+    "sweep-config-p1": (["sweep"], {"p1": {"start": 0, "stop": math.nan, "steps": 2}},
+                        "p1: range stop must be finite, got nan"),
+    "sweep-config-p2": (["sweep"], {"p2": {"start": 0, "stop": 1, "steps": 0}},
+                        "p2: steps must lie in [1, 1000000], got 0"),
+    "sweep-config-phase1": (["sweep"], {"phase1": {"start": 1, "stop": 0, "steps": 2}},
+                            "phase1: range start 1.0 exceeds stop 0.0"),
+    "sweep-config-phase2": (["sweep"], {"phase2": {"start": -1e308, "stop": 1e308, "steps": 2}},
+                            "phase2: range [-1e+308, 1e+308] spans more than a float holds"),
+    "run-input2.phase-type": (["run", "--p1", ".5", "--p2", ".5"], {"input2": {"phase": "x"}},
+                              "input2.phase must be a number, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("argv, config, message", list(NAMED_ERRORS.values()), ids=list(NAMED_ERRORS))
+def test_config_error_names_its_flag_or_key(capsys, tmp_path, argv, config, message):
+    code, out, err = run_with_config(capsys, tmp_path, argv, config)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
 
 
 #: Flag values: the number edges of the example tests, drawn as often
